@@ -34,12 +34,20 @@ Both sides are the exact solution map of d(phi)/ds = sin(phi) run at constant
 worst-case rates: the true angle rate contains v^(m-1), bounded using trusted
 magnitude bounds r <= v <= R on the window. The upper side carries a cubic
 correction term and is clipped at pi.
+
+The band table
+--------------
+`_band_forms` states every closed-form band once, as terms (c, g): the
+magnitude bands for m <= 1 and the angle bands. The flow band is the sum of
+g(e^(-c tau)) over a side's terms; the descent module substitutes
+(1 - c eta)^T for e^(-c tau) in the same terms and reads its step-size
+thresholds and stopping times from the same rates.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -133,6 +141,82 @@ def _require(env: BoundEnvelope, kind: str, wants_m0: bool) -> None:
         raise DomainError(f"evaluator depth does not match envelope m={env.m}")
 
 
+class _Term(NamedTuple):
+    c: float
+    g: Callable[[float], float]
+
+
+class _Band(NamedTuple):
+    """A closed-form band as terms (c, g): each side is the sum of its g(x)
+    with x = e^(-c tau) on the flow or x = (1 - c eta)^steps on descent, and
+    the upper side is then clipped at cap."""
+
+    lower: tuple[_Term, ...]
+    upper: tuple[_Term, ...]
+    cap: float
+
+
+def _band_forms(env: BoundEnvelope) -> _Band:
+    """The table of closed-form bands: every rate c and shape g, stated once.
+
+    magnitude, m = 0: rate 1/2, g = s (1 - x) vstar + v0 x with s = 1 - eps0
+    (lower) or 1 (upper). magnitude, m = 1: rate a = vstar^2 (1 - eps0)
+    (lower) or vstar^2 (upper), g = sqrt(a / (1 - (1 - a / v0^2) x)).
+    angle: g = pi - 2 cot(phi0/2) x at c_low (lower) and c_up (upper), plus
+    the cubic correction (2/3) cot^3(phi0/2) x at 3 c_up, clipped at pi;
+    c_low = (vstar/2R)(phi0/pi), c_up = vstar/(2r) for m = 0 and
+    c_low = (phi0/2pi) r^(m-1) vstar^(m+1), c_up = (1/2) R^(m-1) vstar^(m+1)
+    for m >= 1. Raises UnavailableError for m >= 2 magnitude bands, whose
+    solution is implicit rather than exponential.
+    """
+    v_star, v0 = env.target_norm, env.v0
+    if env.kind == "magnitude":
+        if env.m == 0:
+            s = 1.0 - env.eps0
+            return _Band(
+                (_Term(0.5, lambda x: s * ((1.0 - x) * v_star) + v0 * x),),
+                (_Term(0.5, lambda x: (1.0 - x) * v_star + v0 * x),),
+                math.inf,
+            )
+        if env.m == 1:
+            def logistic(a: float) -> _Term:
+                return _Term(a, lambda x: math.sqrt(a / (1.0 - (1.0 - a / (v0 * v0)) * x)))
+
+            return _Band(
+                (logistic(v_star**2 * (1.0 - env.eps0)),), (logistic(v_star**2),), math.inf
+            )
+        raise UnavailableError("no exponential closed form for m >= 2 magnitude bands")
+
+    cot = 1.0 / math.tan(env.phi0 / 2.0)
+    if env.m == 0:
+        c_low = (v_star / (2.0 * env.R)) * (env.phi0 / math.pi)
+        c_up = v_star / (2.0 * env.r)
+    else:
+        vpow = v_star ** (env.m + 1)
+        c_low = (env.phi0 / (2.0 * math.pi)) * env.r ** (env.m - 1) * vpow
+        c_up = 0.5 * env.R ** (env.m - 1) * vpow
+
+    def main(x: float) -> float:
+        return math.pi - 2.0 * cot * x
+
+    return _Band(
+        (_Term(c_low, main),),
+        (_Term(c_up, main), _Term(3.0 * c_up, lambda x: (2.0 / 3.0) * cot**3 * x)),
+        math.pi,
+    )
+
+
+def _band_at(band: _Band, x_of: Callable[[float], float]) -> tuple[float, float]:
+    """(lower, upper) of a band with x = x_of(c) put into every term."""
+    lower = sum(g(x_of(c)) for c, g in band.lower)
+    upper = sum(g(x_of(c)) for c, g in band.upper)
+    return lower, min(upper, band.cap)
+
+
+def _flow_band(band: _Band, tau: float) -> tuple[float, float]:
+    return _band_at(band, lambda c: math.exp(-c * tau))
+
+
 def magnitude_bounds_one_layer(env: BoundEnvelope, t: float) -> tuple[float, float]:
     """Magnitude band for m = 0: exponential relaxation toward the teacher.
 
@@ -140,10 +224,7 @@ def magnitude_bounds_one_layer(env: BoundEnvelope, t: float) -> tuple[float, flo
     is the same with eps0 = 0. Both equal v0 at the anchor.
     """
     _require(env, "magnitude", wants_m0=True)
-    tau = _elapsed(env, t)
-    decay = math.exp(-0.5 * tau)
-    grow = (1.0 - decay) * env.target_norm
-    return (1.0 - env.eps0) * grow + env.v0 * decay, grow + env.v0 * decay
+    return _flow_band(_band_forms(env), _elapsed(env, t))
 
 
 def angle_bounds_one_layer(env: BoundEnvelope, t: float) -> tuple[float, float]:
@@ -154,17 +235,7 @@ def angle_bounds_one_layer(env: BoundEnvelope, t: float) -> tuple[float, float]:
             + (2/3) cot^3(phi0/2) exp(-3(vstar/2r) tau), clipped to pi.
     """
     _require(env, "angle", wants_m0=True)
-    tau = _elapsed(env, t)
-    cot = 1.0 / math.tan(env.phi0 / 2.0)
-    slow = env.target_norm / (2.0 * env.R)
-    fast = env.target_norm / (2.0 * env.r)
-    lower = math.pi - 2.0 * cot * math.exp(-slow * (env.phi0 / math.pi) * tau)
-    upper = (
-        math.pi
-        - 2.0 * cot * math.exp(-fast * tau)
-        + (2.0 / 3.0) * cot**3 * math.exp(-3.0 * fast * tau)
-    )
-    return lower, min(upper, math.pi)
+    return _flow_band(_band_forms(env), _elapsed(env, t))
 
 
 def angle_bounds_multilayer(env: BoundEnvelope, t: float) -> tuple[float, float]:
@@ -174,18 +245,7 @@ def angle_bounds_multilayer(env: BoundEnvelope, t: float) -> tuple[float, float]
     (1/2) R^(m-1) vstar^(m+1) and three times that for the cubic term.
     """
     _require(env, "angle", wants_m0=False)
-    tau = _elapsed(env, t)
-    cot = 1.0 / math.tan(env.phi0 / 2.0)
-    vpow = env.target_norm ** (env.m + 1)
-    slow = (env.phi0 / (2.0 * math.pi)) * env.r ** (env.m - 1) * vpow
-    fast = 0.5 * env.R ** (env.m - 1) * vpow
-    lower = math.pi - 2.0 * cot * math.exp(-slow * tau)
-    upper = (
-        math.pi
-        - 2.0 * cot * math.exp(-fast * tau)
-        + (2.0 / 3.0) * cot**3 * math.exp(-3.0 * fast * tau)
-    )
-    return lower, min(upper, math.pi)
+    return _flow_band(_band_forms(env), _elapsed(env, t))
 
 
 def _frozen_ode_rhs(m: int, a: float, v: float) -> float:
@@ -284,17 +344,9 @@ def frozen_gap_magnitude_implicit(
         raise UnavailableError(f"series budget exhausted near the attractor: {exc}") from exc
 
 
-def _logistic_magnitude(m1_a: float, v0: float, tau: float) -> float:
-    """Closed form of the frozen-gap equation for m = 1: logistic in u^2."""
-    denom = 1.0 - (1.0 - m1_a / (v0 * v0)) * math.exp(-m1_a * tau)
-    return math.sqrt(m1_a / denom)
-
-
 def _frozen_gap_magnitude(
     m: int, target_norm: float, eps: float, v0: float, tau: float
 ) -> float:
-    if m == 1:
-        return _logistic_magnitude(target_norm**2 * (1.0 - eps), v0, tau)
     try:
         return frozen_gap_magnitude_implicit(m, target_norm, eps, v0, tau)
     except UnavailableError:
@@ -302,11 +354,15 @@ def _frozen_gap_magnitude(
 
 
 def magnitude_bounds_multilayer(env: BoundEnvelope, t: float) -> tuple[float, float]:
-    """Magnitude band for m >= 1: frozen-gap solutions at eps0 and at 0."""
+    """Magnitude band for m >= 1: frozen-gap solutions at eps0 and at 0.
+
+    m = 1 reads the logistic closed form from the band table; deeper bands
+    take the implicit path with the ODE fallback.
+    """
     _require(env, "magnitude", wants_m0=False)
-    if env.v0 <= 0:
-        raise DomainError("multilayer magnitude bounds need v0 > 0")
     tau = _elapsed(env, t)
+    if env.m == 1:
+        return _flow_band(_band_forms(env), tau)
     lower = _frozen_gap_magnitude(env.m, env.target_norm, env.eps0, env.v0, tau)
     upper = _frozen_gap_magnitude(env.m, env.target_norm, 0.0, env.v0, tau)
     return lower, upper
@@ -335,9 +391,9 @@ def _ode_sweep(m: int, target_norm: float, eps: float, v0: float, taus: np.ndarr
 
 
 def envelope_curve(env: BoundEnvelope, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (lowers, uppers) along an increasing grid of absolute times.
+    """(lowers, uppers) along an increasing grid of absolute times.
 
-    Closed forms are evaluated directly; the m >= 2 magnitude band is swept
+    Closed forms come from the band table; the m >= 2 magnitude band is swept
     by a single frozen-gap integration per side, which is what makes
     per-sample envelope checking affordable on long trajectories.
     """
@@ -350,21 +406,10 @@ def envelope_curve(env: BoundEnvelope, times: np.ndarray) -> tuple[np.ndarray, n
         raise DomainError("times precede the envelope anchor")
     taus = times - env.anchor_time
 
-    if env.kind == "angle":
-        point = angle_bounds_one_layer if env.m == 0 else angle_bounds_multilayer
-        pairs = [point(env, t) for t in times]
-        lowers = np.array([p[0] for p in pairs])
-        uppers = np.array([p[1] for p in pairs])
-        return lowers, uppers
-
-    if env.m == 0:
-        decay = np.exp(-0.5 * taus)
-        grow = (1.0 - decay) * env.target_norm
-        return (1.0 - env.eps0) * grow + env.v0 * decay, grow + env.v0 * decay
-    if env.m == 1:
-        lowers = np.array([_logistic_magnitude(env.target_norm**2 * (1.0 - env.eps0), env.v0, tau) for tau in taus])
-        uppers = np.array([_logistic_magnitude(env.target_norm**2, env.v0, tau) for tau in taus])
-        return lowers, uppers
+    if env.kind == "angle" or env.m <= 1:
+        band = _band_forms(env)
+        pairs = [_flow_band(band, tau) for tau in taus]
+        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
     lowers = _ode_sweep(env.m, env.target_norm, env.eps0, env.v0, taus)
     uppers = _ode_sweep(env.m, env.target_norm, 0.0, env.v0, taus)
     return lowers, uppers
@@ -437,21 +482,19 @@ def convergence_horizon(
 ) -> float:
     """A time by which the flow provably sits within tolerance of its limit.
 
-    Built from the guaranteed worst-case constants: the angle lower bound run
-    at the guaranteed magnitude floor r = min(v0, attractor(eps0)), plus a
-    linearized magnitude-settling term at the slowest local rate, with a 30%
-    safety factor. Deliberately conservative, never tuned per run.
+    Built from the guaranteed worst-case constants: the angle lower band's
+    rate c_low at the guaranteed magnitude bracket r = min(v0, attractor(eps0)),
+    R = max(v0, vstar), plus a linearized magnitude-settling term at the
+    slowest local rate, with a 30% safety factor. Deliberately conservative,
+    never tuned per run.
     """
     if angle_tol <= 0 or mag_tol <= 0:
         raise DomainError("tolerances must be positive")
     eps0 = epsilon_gap(phi0)
     attractor = target_norm * (1.0 - eps0) ** (1.0 / (m + 1))
     r = min(v0, attractor)
-    big_r = max(v0, target_norm)
-    if m >= 1:
-        angle_rate = (phi0 / (2.0 * math.pi)) * r ** (m - 1) * target_norm ** (m + 1)
-    else:
-        angle_rate = (phi0 / (2.0 * math.pi)) * (target_norm / big_r)
+    env = BoundEnvelope("angle", m, target_norm, phi0, v0, r=r, R=max(v0, target_norm))
+    angle_rate = _band_forms(env).lower[0].c
     cot = 1.0 / math.tan(phi0 / 2.0)
     ratio = 2.0 * cot / (0.5 * angle_tol)
     t_angle = math.log(ratio) / angle_rate if ratio > 1.0 else 0.0

@@ -9,7 +9,9 @@ Examples::
     reluflow verify --n 1000000
 
 Exit status is 0 exactly when every check in every run passed, 1 when some
-check failed, and 2 on a configuration error.
+check failed, 2 on a configuration error, and 3 when a run failed
+numerically (a trajectory diverged, an iteration did not converge, or no
+evaluation path exists).
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConvergenceError, DivergenceError, UnavailableError
 from .experiments import (
     EXPERIMENTS,
     ExperimentResult,
@@ -110,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "list-experiments":
             width = max(map(len, EXPERIMENTS))
             for name in sorted(EXPERIMENTS):
-                print(f"{name:<{width}}  {EXPERIMENTS[name]}")
+                print(f"{name:<{width}}  {EXPERIMENTS[name].description}")
             return 0
         if args.command == "verify":
             # Default stream 1: a per-entry 3-sigma criterion over ~100 matrix
@@ -141,12 +143,12 @@ def main(argv: list[str] | None = None) -> int:
             results = [run_experiment(c) for c in cfgs]
         flags = [_report(r) for r in results]
         return 0 if all(flags) else 1
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and DomainError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (DivergenceError, ConvergenceError, UnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

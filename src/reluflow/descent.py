@@ -3,14 +3,17 @@
 The bridge: solutions of the flow that can be written as w(t) = g(e^(-c t))
 turn into descent-side statements by substituting e^(-c t) -> (1 - c eta)^T,
 accurate to first order in the step size over any fixed horizon c eta T.
-`ExpFlowForm` carries one such (c, g) pair; `gf_to_gd` performs the
-substitution; `flow_forms_for` builds the pairs realizing the closed-form
-envelopes of the bounds module, so the descent-side envelopes in `gd_bounds`
-are literally the flow envelopes pushed through the substitution (the angle
-upper band is the sum of two such pairs, rates c and 3c, then clipped at pi).
+The closed-form envelopes are stated once, as (c, g) terms in the band
+table of the bounds module. `gd_bounds` evaluates the same terms at
+(1 - c eta)^T, so the descent-side envelopes are the flow envelopes pushed
+through the substitution (the angle upper band is the sum of two terms,
+rates c and 3c, then clipped at pi). `ExpFlowForm` carries one validated
+(c, g) pair; `flow_forms_for` wraps the table's terms in it, and `gf_to_gd`
+performs the substitution with the step-size guards below.
 
 Step-size thresholds: every descent-side band is derived under a smallness
-condition on eta. `eta_threshold` returns the theorem-scale constant; the
+condition on eta. `eta_threshold` returns the theorem-scale constant 1 / c
+at the band's fastest rate; `stopping_time` reads the lower rate; the
 bridge refuses eta above a tenth of it and warns above a hundredth, while the
 band evaluators only warn (a run with a too-large step still wants its band
 drawn, it just loses the guarantee).
@@ -28,8 +31,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import BoundEnvelope
-from .errors import DivergenceError, DomainError, UnavailableError
+from .bounds import BoundEnvelope, _band_at, _band_forms
+from .errors import DivergenceError, DomainError
 from .flow import Trajectory, epsilon_gap
 from .population import (
     NeuronConfig,
@@ -230,90 +233,35 @@ def gd_error_scaling(
     return out
 
 
-def _cot_half(phi0: float) -> float:
-    return 1.0 / math.tan(phi0 / 2.0)
-
-
 def flow_forms_for(env: BoundEnvelope) -> dict[str, ExpFlowForm]:
     """Exponential-substitution pairs realizing an envelope's closed forms.
 
     Returns 'lower' and 'upper' forms; angle envelopes additionally return
     'upper_correction' (the cubic tail runs at three times the main rate, so
     the full upper band is upper + upper_correction, clipped at pi). The
-    angle upper main form is injective only when phi0 >= pi/2; construction
-    raises below that. No forms exist for m >= 2 magnitude bands (the bound
-    there is implicit, not exponential-closed-form).
+    terms are the band table's, wrapped and validated. No forms exist for
+    m >= 2 magnitude bands (the bound there is implicit, not
+    exponential-closed-form), and an m = 1 start on an attractor degenerates.
     """
-    v_star = env.target_norm
-    eps0 = env.eps0
-    v0 = env.v0
-    if env.kind == "magnitude":
-        if env.m == 0:
-            return {
-                "lower": ExpFlowForm(
-                    0.5, lambda x, s=(1.0 - eps0): s * (1.0 - x) * v_star + v0 * x
-                ),
-                "upper": ExpFlowForm(0.5, lambda x: (1.0 - x) * v_star + v0 * x),
-            }
-        if env.m == 1:
-            a_low = v_star**2 * (1.0 - eps0)
-            a_up = v_star**2
-            if math.isclose(v0 * v0, a_low) or math.isclose(v0 * v0, a_up):
-                raise DomainError("start sits on an attractor; the form degenerates")
-            return {
-                "lower": ExpFlowForm(
-                    a_low,
-                    lambda x, a=a_low: math.sqrt(a / (1.0 - (1.0 - a / (v0 * v0)) * x)),
-                ),
-                "upper": ExpFlowForm(
-                    a_up,
-                    lambda x, a=a_up: math.sqrt(a / (1.0 - (1.0 - a / (v0 * v0)) * x)),
-                ),
-            }
-        raise UnavailableError("no exponential closed form for m >= 2 magnitude bands")
-
-    cot = _cot_half(env.phi0)
-    if env.m == 0:
-        c_low = (v_star / (2.0 * env.R)) * (env.phi0 / math.pi)
-        c_up = v_star / (2.0 * env.r)
-    else:
-        vpow = v_star ** (env.m + 1)
-        c_low = (env.phi0 / (2.0 * math.pi)) * env.r ** (env.m - 1) * vpow
-        c_up = 0.5 * env.R ** (env.m - 1) * vpow
-    return {
-        "lower": ExpFlowForm(c_low, lambda x: math.pi - 2.0 * cot * x),
-        "upper": ExpFlowForm(c_up, lambda x: math.pi - 2.0 * cot * x),
-        "upper_correction": ExpFlowForm(
-            3.0 * c_up, lambda x: (2.0 / 3.0) * cot**3 * x
-        ),
-    }
+    band = _band_forms(env)
+    terms = band.lower + band.upper
+    if env.kind == "magnitude" and env.m == 1 and any(
+        math.isclose(env.v0 * env.v0, t.c) for t in terms
+    ):
+        raise DomainError("start sits on an attractor; the form degenerates")
+    names = ("lower", "upper", "upper_correction")
+    return {name: ExpFlowForm(t.c, t.g) for name, t in zip(names, terms)}
 
 
 def eta_threshold(env: BoundEnvelope) -> float:
-    """Theorem-scale step-size constant for an envelope's descent band.
+    """Theorem-scale step-size constant for an envelope's descent band:
+    1 / c over the fastest rate c among the band's terms.
 
     Bands are proven under eta well below this; the package treats a tenth
     of it as the hard ceiling and a hundredth as the clean regime.
     """
-    v_star = env.target_norm
-    if env.kind == "magnitude":
-        if env.m == 0:
-            return 2.0
-        if env.m == 1:
-            return 1.0 / v_star**2
-        raise UnavailableError("no descent-side magnitude band for m >= 2")
-    if env.r is None or env.R is None:
-        raise DomainError("angle thresholds need r and R")
-    if env.m == 0:
-        return min(
-            2.0 * math.pi * env.R / (v_star * env.phi0),
-            2.0 * env.r / (3.0 * v_star),
-        )
-    vpow = v_star ** (env.m + 1)
-    return min(
-        2.0 * math.pi / (env.phi0 * env.r ** (env.m - 1) * vpow),
-        2.0 / (3.0 * env.R ** (env.m - 1) * vpow),
-    )
+    band = _band_forms(env)
+    return 1.0 / max(t.c for t in band.lower + band.upper)
 
 
 def _warn_eta(env: BoundEnvelope, eta: float) -> None:
@@ -341,38 +289,7 @@ def gd_bounds(env: BoundEnvelope, eta: float, T: int) -> tuple[float, float]:
     if steps < 0:
         raise DomainError(f"T={T} precedes the envelope anchor {env.anchor_time}")
     _warn_eta(env, eta)
-    v_star = env.target_norm
-    v0 = env.v0
-
-    if env.kind == "magnitude":
-        if env.m == 0:
-            x = (1.0 - 0.5 * eta) ** steps
-            grow = (1.0 - x) * v_star
-            return (1.0 - env.eps0) * grow + v0 * x, grow + v0 * x
-        if env.m == 1:
-            a_low = v_star**2 * (1.0 - env.eps0)
-            a_up = v_star**2
-            x_low = (1.0 - a_low * eta) ** steps
-            x_up = (1.0 - a_up * eta) ** steps
-            lower = math.sqrt(a_low / (1.0 - (1.0 - a_low / (v0 * v0)) * x_low))
-            upper = math.sqrt(a_up / (1.0 - (1.0 - a_up / (v0 * v0)) * x_up))
-            return lower, upper
-        raise UnavailableError("no descent-side magnitude band for m >= 2")
-
-    cot = _cot_half(env.phi0)
-    if env.m == 0:
-        c_low = (v_star / (2.0 * env.R)) * (env.phi0 / math.pi)
-        c_up = v_star / (2.0 * env.r)
-    else:
-        vpow = v_star ** (env.m + 1)
-        c_low = (env.phi0 / (2.0 * math.pi)) * env.r ** (env.m - 1) * vpow
-        c_up = 0.5 * env.R ** (env.m - 1) * vpow
-    x_low = (1.0 - c_low * eta) ** steps
-    x_up = (1.0 - c_up * eta) ** steps
-    x_cube = (1.0 - 3.0 * c_up * eta) ** steps
-    lower = math.pi - 2.0 * cot * x_low
-    upper = math.pi - 2.0 * cot * x_up + (2.0 / 3.0) * cot**3 * x_cube
-    return lower, min(upper, math.pi)
+    return _band_at(_band_forms(env), lambda c: (1.0 - c * eta) ** steps)
 
 
 def gd_envelope_curve(
@@ -403,13 +320,8 @@ def stopping_time(env: BoundEnvelope, eta: float, eps: float) -> int:
         raise DomainError("eps must be positive")
     if eta <= 0:
         raise DomainError("eta must be positive")
-    v_star = env.target_norm
-    if env.m == 0:
-        rate = (env.phi0 / (2.0 * math.pi)) * (v_star / env.R)
-        thr = 2.0 * math.pi * env.R / (v_star * env.phi0)
-    else:
-        rate = (env.phi0 / (2.0 * math.pi)) * env.r ** (env.m - 1) * v_star ** (env.m + 1)
-        thr = 2.0 * math.pi / (env.phi0 * env.r ** (env.m - 1) * v_star ** (env.m + 1))
+    rate = _band_forms(env).lower[0].c
+    thr = 1.0 / rate
     if eta >= 0.1 * thr:
         raise DomainError(f"eta={eta} too large against the rate threshold {thr}")
     if eta > 0.01 * thr:

@@ -32,20 +32,27 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import BoundEnvelope, check_envelope, convergence_horizon, reanchored
+from .bounds import (
+    BoundEnvelope,
+    _frozen_ode_rhs,
+    check_envelope,
+    convergence_horizon,
+    reanchored,
+)
 from .descent import (
     DescentConfig,
-    ExpFlowForm,
     eta_threshold,
+    flow_forms_for,
     gd_envelope_curve,
     gd_error_scaling,
     run_gd,
     stopping_time,
 )
-from .errors import ConfigError, DegenerateAngleError
+from .errors import ConfigError, DegenerateAngleError, DivergenceError
 from .flow import FlowSpec, Trajectory, integrate_polar
 from .montecarlo import (
     angle_concentration,
@@ -55,7 +62,6 @@ from .montecarlo import (
 )
 from .population import (
     NeuronConfig,
-    PolarState,
     WeightState,
     double_wedge_second_moment,
     half_space_second_moment,
@@ -101,30 +107,6 @@ _DEEP_DIMS = {"paper": {"d": 100, "n": 10_000, "width": 50},
 
 _SCALE_RATIO = {"small": 0.1, "middle": 1.0, "large": 2.0}
 
-EXPERIMENTS: dict[str, str] = {
-    "flow": "integrate the reduced flow and check it against its analytic bands",
-    "gd": "full-batch descent on sampled data, checked against descent-side bands",
-    "figure-angle": "angle dynamics of descent inside its analytic band",
-    "figure-magnitude": "magnitude dynamics of descent inside its analytic band (m <= 1)",
-    "reanchor": "descent magnitude bands re-anchored along the run; bands must tighten",
-    "lemma-verify": "Monte Carlo verification of the Gaussian moment closed forms",
-    "error-scaling": "flow-vs-descent substitution error as a function of step size",
-    "stopping-time": "certified step count, then a run that must beat it",
-    "deep-general": "depth-5 ReLU network; parameter norm must move monotonically",
-}
-
-_REQUIRED: dict[str, set[str]] = {
-    "flow": {"m"},
-    "gd": {"m"},
-    "figure-angle": {"m", "init_scale"},
-    "figure-magnitude": {"m", "init_scale"},
-    "reanchor": {"m"},
-    "lemma-verify": set(),
-    "error-scaling": set(),
-    "stopping-time": set(),
-    "deep-general": {"init_scale"},
-}
-
 _INT_KEYS = {"m", "d", "n", "steps", "seed"}
 _FLOAT_KEYS = {"eta", "dt", "t_end", "target_scale", "eps"}
 _STR_KEYS = {"experiment", "output_dir"}
@@ -155,7 +137,7 @@ class RunConfig:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; known: {sorted(EXPERIMENTS)}"
             )
-        missing = _REQUIRED[self.experiment] - {
+        missing = EXPERIMENTS[self.experiment].required - {
             k for k in ("m", "init_scale") if getattr(self, k) is not None
         }
         if missing:
@@ -443,29 +425,6 @@ def _run_flow(cfg: RunConfig) -> ExperimentResult:
     return _finalize(outdir, cfg.experiment, cfg.seed, checks, t0)
 
 
-def _descent_run(cfg: RunConfig) -> tuple[
-    NeuronConfig, WeightState, PolarState, Trajectory, str, float, int, DescentConfig
-]:
-    m = int(cfg.m)
-    d, n, steps = _resolve_scales(cfg)
-    kstar = _teacher_variance(cfg, _FIG_KSTAR.get(m, 1.0), d)
-    k, label = _init_variance(cfg, kstar)
-    config, init = _draw_problem(cfg, d, m, kstar, k)
-    eta = cfg.eta if cfg.eta is not None else _FIG_ETA.get(m)
-    if eta is None:
-        raise ConfigError(f"no default step size for m={m}; set eta explicitly")
-    dc = DescentConfig(
-        eta=eta,
-        steps=steps,
-        mode="empirical",
-        n_samples=n,
-        seed=cfg.seed,
-        record_every=max(1, steps // 400),
-    )
-    traj = run_gd(config, init, dc)
-    return config, init, polar_of(config, init), traj, label, eta, steps, dc
-
-
 def _band_checks(
     traj: Trajectory,
     env: BoundEnvelope,
@@ -486,7 +445,17 @@ def _run_descent_figure(cfg: RunConfig, kinds: list[str]) -> ExperimentResult:
     m = int(cfg.m)
     if "magnitude" in kinds and m >= 2:
         raise ConfigError("descent-side magnitude bands exist for m <= 1 only")
-    config, init, polar0, traj, label, eta, steps, _ = _descent_run(cfg)
+    d, n, steps = _resolve_scales(cfg)
+    kstar = _teacher_variance(cfg, _FIG_KSTAR.get(m, 1.0), d)
+    k, label = _init_variance(cfg, kstar)
+    config, init = _draw_problem(cfg, d, m, kstar, k)
+    eta = cfg.eta if cfg.eta is not None else _FIG_ETA.get(m)
+    if eta is None:
+        raise ConfigError(f"no default step size for m={m}; set eta explicitly")
+    dc = DescentConfig(eta=eta, steps=steps, mode="empirical", n_samples=n,
+                       seed=cfg.seed, record_every=max(1, steps // 400))
+    traj = run_gd(config, init, dc)
+    polar0 = polar_of(config, init)
     tnorm = config.target_norm
     outdir = _out_dir(cfg, f"m{m}", label)
     checks: list[dict] = []
@@ -520,11 +489,6 @@ def _run_descent_figure(cfg: RunConfig, kinds: list[str]) -> ExperimentResult:
     _write_bounds(outdir, bounds_data)
     (outdir / "plot.gp").write_text(_plot_script(["bounds.csv"], kinds, "step"))
     return _finalize(outdir, cfg.experiment, cfg.seed, checks, t0)
-
-
-def _run_gd_generic(cfg: RunConfig) -> ExperimentResult:
-    kinds = ["magnitude", "angle"] if int(cfg.m) <= 1 else ["angle"]
-    return _run_descent_figure(cfg, kinds)
 
 
 def reanchor_experiment(
@@ -652,11 +616,11 @@ def _run_error_scaling(cfg: RunConfig) -> ExperimentResult:
     t0 = time.monotonic()
     horizon = cfg.t_end if cfg.t_end is not None else 8.0
     etas = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
-    v0 = 0.5
-    # Frozen-gap flow at m = 1 with unit teacher: du/dt = -(1/2) u (u^2 - 1),
-    # whose substitution form is g(x) = 1/sqrt(1 - (1 - 1/v0^2) x) at rate 1.
-    form = ExpFlowForm(1.0, lambda x: math.sqrt(1.0 / (1.0 - (1.0 - 1.0 / (v0 * v0)) * x)))
-    pairs = gd_error_scaling(form, lambda w: -0.5 * w * (w * w - 1.0), etas, horizon)
+    # The m = 1 frozen-gap flow at eps = 0 with a unit teacher from v0 = 0.5:
+    # the upper magnitude band of the table is its exact solution.
+    env = BoundEnvelope("magnitude", 1, 1.0, math.pi / 2, 0.5)
+    form = flow_forms_for(env)["upper"]
+    pairs = gd_error_scaling(form, lambda w: _frozen_ode_rhs(1, 1.0, w), etas, horizon)
 
     outdir = _out_dir(cfg)
     lines = ["eta,max_error"] + [f"{_fmt(e)},{_fmt(err)}" for e, err in pairs]
@@ -783,7 +747,7 @@ def _run_deep_general(cfg: RunConfig) -> ExperimentResult:
         if (step + 1) % record_every == 0 or step + 1 == steps:
             nrm = theta_norm()
             if not math.isfinite(nrm) or nrm > 1e12:
-                raise ConfigError(f"deep run blew up at step {step + 1}")
+                raise DivergenceError(f"deep run blew up at step {step + 1}")
             times.append(float(step + 1))
             norms.append(nrm)
             losses.append(_mlp_forward_backward(weights, x, y)[0])
@@ -816,24 +780,48 @@ def _run_deep_general(cfg: RunConfig) -> ExperimentResult:
 
 # ---------------------------------------------------------------------------
 
+class Experiment(NamedTuple):
+    """A registered experiment kind: what it does, the config keys it cannot
+    default, and the runner that executes it."""
+
+    description: str
+    required: frozenset[str]
+    run: Callable[[RunConfig], ExperimentResult]
+
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "flow": Experiment(
+        "integrate the reduced flow and check it against its analytic bands",
+        frozenset({"m"}), _run_flow),
+    "gd": Experiment(
+        "full-batch descent on sampled data, checked against descent-side bands",
+        frozenset({"m"}),
+        lambda cfg: _run_descent_figure(
+            cfg, ["magnitude", "angle"] if int(cfg.m) <= 1 else ["angle"])),
+    "figure-angle": Experiment(
+        "angle dynamics of descent inside its analytic band",
+        frozenset({"m", "init_scale"}), lambda cfg: _run_descent_figure(cfg, ["angle"])),
+    "figure-magnitude": Experiment(
+        "magnitude dynamics of descent inside its analytic band (m <= 1)",
+        frozenset({"m", "init_scale"}), lambda cfg: _run_descent_figure(cfg, ["magnitude"])),
+    "reanchor": Experiment(
+        "descent magnitude bands re-anchored along the run; bands must tighten",
+        frozenset({"m"}), reanchor_experiment),
+    "lemma-verify": Experiment(
+        "Monte Carlo verification of the Gaussian moment closed forms",
+        frozenset(), _run_lemma_verify),
+    "error-scaling": Experiment(
+        "flow-vs-descent substitution error as a function of step size",
+        frozenset(), _run_error_scaling),
+    "stopping-time": Experiment(
+        "certified step count, then a run that must beat it",
+        frozenset(), _run_stopping_time),
+    "deep-general": Experiment(
+        "depth-5 ReLU network; parameter norm must move monotonically",
+        frozenset({"init_scale"}), _run_deep_general),
+}
+
+
 def run_experiment(cfg: RunConfig) -> ExperimentResult:
     """Run one experiment to completion and write its artifacts."""
-    if cfg.experiment == "flow":
-        return _run_flow(cfg)
-    if cfg.experiment == "gd":
-        return _run_gd_generic(cfg)
-    if cfg.experiment == "figure-angle":
-        return _run_descent_figure(cfg, ["angle"])
-    if cfg.experiment == "figure-magnitude":
-        return _run_descent_figure(cfg, ["magnitude"])
-    if cfg.experiment == "reanchor":
-        return reanchor_experiment(cfg)
-    if cfg.experiment == "lemma-verify":
-        return _run_lemma_verify(cfg)
-    if cfg.experiment == "error-scaling":
-        return _run_error_scaling(cfg)
-    if cfg.experiment == "stopping-time":
-        return _run_stopping_time(cfg)
-    if cfg.experiment == "deep-general":
-        return _run_deep_general(cfg)
-    raise ConfigError(f"unknown experiment {cfg.experiment!r}")  # pragma: no cover
+    return EXPERIMENTS[cfg.experiment].run(cfg)

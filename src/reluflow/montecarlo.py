@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -49,9 +50,32 @@ def _draw(rng: np.random.Generator, count: int, d: int, dist: str) -> np.ndarray
 
 
 def _finish(s1: np.ndarray, s2: np.ndarray, n: int, seed: int) -> McEstimate:
-    mean = s1 / n
+    mean = np.asarray(s1) / n
     var = np.maximum(s2 - n * mean * mean, 0.0) / (n - 1)
     return McEstimate(value=mean, stderr=np.sqrt(var / n), n=n, seed=seed)
+
+
+def _accumulate(
+    n: int, seed: int, chunk_sums: Callable[[np.random.Generator, int], tuple]
+) -> list[McEstimate]:
+    """Chunked Monte Carlo means over n draws from a generator seeded by seed.
+
+    chunk_sums(rng, count) draws count samples and returns, for each
+    estimate, its partial sum and partial sum of squares, flattened as
+    (s1, s2, s1', s2', ...); the partials are totalled over chunks of at
+    most _CHUNK samples and closed into one McEstimate per pair.
+    """
+    if n < 2:
+        raise DomainError("n must be >= 2")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    totals: list = []
+    left = n
+    while left > 0:
+        count = min(_CHUNK, left)
+        parts = chunk_sums(rng, count)
+        totals = [t + p for t, p in zip(totals or [0.0] * len(parts), parts)]
+        left -= count
+    return [_finish(s1, s2, n, seed) for s1, s2 in zip(totals[::2], totals[1::2])]
 
 
 def _unit(u: np.ndarray, name: str) -> np.ndarray:
@@ -64,27 +88,28 @@ def _unit(u: np.ndarray, name: str) -> np.ndarray:
     return u
 
 
+def _weighted_outer_sums(ind: np.ndarray, x: np.ndarray) -> tuple:
+    """Chunk sums of ind x x^T and of its entrywise squares (ind is 0/1)."""
+    xx = x * x
+    return np.einsum("n,ni,nj->ij", ind, x, x), np.einsum("n,ni,nj->ij", ind, xx, xx)
+
+
+def _scalar_sums(y: np.ndarray) -> tuple:
+    return float(y.sum()), float((y * y).sum())
+
+
 def mc_half_space_moment(
     u: np.ndarray, n: int, seed: int, dist: str = "gaussian"
 ) -> McEstimate:
     """Estimate E[ 1{u.x > 0} x x^T ] with per-entry standard errors."""
     u = _unit(u, "u")
-    if n < 2:
-        raise DomainError("n must be >= 2")
     d = u.shape[0]
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    s1 = np.zeros((d, d))
-    s2 = np.zeros((d, d))
-    left = n
-    while left > 0:
-        count = min(_CHUNK, left)
+
+    def chunk(rng: np.random.Generator, count: int) -> tuple:
         x = _draw(rng, count, d, dist)
-        ind = (x @ u > 0.0).astype(float)
-        s1 += np.einsum("n,ni,nj->ij", ind, x, x)
-        xx = x * x
-        s2 += np.einsum("n,ni,nj->ij", ind, xx, xx)
-        left -= count
-    return _finish(s1, s2, n, seed)
+        return _weighted_outer_sums((x @ u > 0.0).astype(float), x)
+
+    return _accumulate(n, seed, chunk)[0]
 
 
 def mc_double_wedge_moment(
@@ -95,22 +120,13 @@ def mc_double_wedge_moment(
     v = _unit(v, "v")
     if u.shape != v.shape:
         raise DimensionError("u and v must share a dimension")
-    if n < 2:
-        raise DomainError("n must be >= 2")
     d = u.shape[0]
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    s1 = np.zeros((d, d))
-    s2 = np.zeros((d, d))
-    left = n
-    while left > 0:
-        count = min(_CHUNK, left)
+
+    def chunk(rng: np.random.Generator, count: int) -> tuple:
         x = _draw(rng, count, d, dist)
-        ind = ((x @ u > 0.0) & (x @ v > 0.0)).astype(float)
-        s1 += np.einsum("n,ni,nj->ij", ind, x, x)
-        xx = x * x
-        s2 += np.einsum("n,ni,nj->ij", ind, xx, xx)
-        left -= count
-    return _finish(s1, s2, n, seed)
+        return _weighted_outer_sums(((x @ u > 0.0) & (x @ v > 0.0)).astype(float), x)
+
+    return _accumulate(n, seed, chunk)[0]
 
 
 def mc_relu_product(u: np.ndarray, v: np.ndarray, n: int, seed: int) -> McEstimate:
@@ -119,41 +135,25 @@ def mc_relu_product(u: np.ndarray, v: np.ndarray, n: int, seed: int) -> McEstima
     v = _unit(v, "v")
     if u.shape != v.shape:
         raise DimensionError("u and v must share a dimension")
-    if n < 2:
-        raise DomainError("n must be >= 2")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    s1 = 0.0
-    s2 = 0.0
-    left = n
-    while left > 0:
-        count = min(_CHUNK, left)
+
+    def chunk(rng: np.random.Generator, count: int) -> tuple:
         x = _draw(rng, count, u.shape[0], "gaussian")
-        y = np.maximum(x @ u, 0.0) * np.maximum(x @ v, 0.0)
-        s1 += float(y.sum())
-        s2 += float((y * y).sum())
-        left -= count
-    return _finish(np.asarray(s1), np.asarray(s2), n, seed)
+        return _scalar_sums(np.maximum(x @ u, 0.0) * np.maximum(x @ v, 0.0))
+
+    return _accumulate(n, seed, chunk)[0]
 
 
 def mc_population_loss(config: NeuronConfig, state: WeightState, n: int, seed: int) -> McEstimate:
     """Estimate the population loss of a state by sampling fresh inputs."""
-    if n < 2:
-        raise DomainError("n must be >= 2")
     p = state.product
     p_star = config.target_product
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    s1 = 0.0
-    s2 = 0.0
-    left = n
-    while left > 0:
-        count = min(_CHUNK, left)
+
+    def chunk(rng: np.random.Generator, count: int) -> tuple:
         x = _draw(rng, count, config.d, "gaussian")
         err = p * np.maximum(x @ state.w, 0.0) - p_star * np.maximum(x @ config.target_w, 0.0)
-        y = 0.5 * err * err
-        s1 += float(y.sum())
-        s2 += float((y * y).sum())
-        left -= count
-    return _finish(np.asarray(s1), np.asarray(s2), n, seed)
+        return _scalar_sums(0.5 * err * err)
+
+    return _accumulate(n, seed, chunk)[0]
 
 
 def mc_population_gradient(
@@ -166,36 +166,26 @@ def mc_population_gradient(
     residual; the derivative of relu at 0 is taken as 0 (strict indicator).
     Returns (weight-gradient estimate, hidden-gradient estimate).
     """
-    if n < 2:
-        raise DomainError("n must be >= 2")
     if any(v <= 0.0 for v in state.hidden):
         raise DomainError("hidden scalars must be positive")
-    d, m = config.d, config.m
+    d = config.d
     p = state.product
     p_star = config.target_product
     hidden = np.array(state.hidden, dtype=float)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    s1w = np.zeros(d)
-    s2w = np.zeros(d)
-    s1h = np.zeros(m)
-    s2h = np.zeros(m)
-    left = n
-    while left > 0:
-        count = min(_CHUNK, left)
+
+    def chunk(rng: np.random.Generator, count: int) -> tuple:
         x = _draw(rng, count, d, "gaussian")
         pre = x @ state.w
         ind = pre > 0.0
         act = np.where(ind, pre, 0.0)
         e = p * act - p_star * np.maximum(x @ config.target_w, 0.0)
         gw = (p * e * ind)[:, None] * x
-        s1w += gw.sum(axis=0)
-        s2w += (gw * gw).sum(axis=0)
-        if m:
-            gh = (e * act)[:, None] * (p / hidden)[None, :]
-            s1h += gh.sum(axis=0)
-            s2h += (gh * gh).sum(axis=0)
-        left -= count
-    return _finish(s1w, s2w, n, seed), _finish(s1h, s2h, n, seed)
+        sums_w = gw.sum(axis=0), (gw * gw).sum(axis=0)
+        gh = (e * act)[:, None] * (p / hidden)[None, :]
+        return *sums_w, gh.sum(axis=0), (gh * gh).sum(axis=0)
+
+    est_w, est_h = _accumulate(n, seed, chunk)
+    return est_w, est_h
 
 
 def angle_concentration(d: int, eps: float, trials: int, seed: int) -> tuple[float, float]:

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reluflow.bounds import BoundEnvelope, envelope_curve
 from reluflow.descent import (
@@ -149,16 +150,23 @@ def test_two_layer_magnitude_bridge_identity():
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_angle_forms_sum_to_gd_bounds():
-    env = BoundEnvelope("angle", 1, 1.0, 1.9, 0.5, r=0.4, R=1.2)
+@pytest.mark.parametrize(
+    "kind,m",
+    [("magnitude", 0), ("magnitude", 1), ("angle", 0), ("angle", 1), ("angle", 2), ("angle", 3)],
+)
+def test_angle_forms_sum_to_gd_bounds(kind, m):
+    bracket = {"r": 0.4, "R": 1.2} if kind == "angle" else {}
+    env = BoundEnvelope(kind, m, 1.0, 1.9, 0.5, **bracket)
     eta, T = 1e-3, 700
     forms = flow_forms_for(env)
     lo, up = gd_bounds(env, eta, T)
     assert gf_to_gd(forms["lower"], eta, T) == pytest.approx(lo, rel=1e-12)
-    upper_sum = gf_to_gd(forms["upper"], eta, T) + gf_to_gd(
-        forms["upper_correction"], eta, T
-    )
-    assert min(math.pi, upper_sum) == pytest.approx(up, rel=1e-12)
+    upper_sum = gf_to_gd(forms["upper"], eta, T)
+    if kind == "angle":
+        upper_sum = min(math.pi, upper_sum + gf_to_gd(forms["upper_correction"], eta, T))
+    else:
+        assert set(forms) == {"lower", "upper"}
+    assert upper_sum == pytest.approx(up, rel=1e-12)
 
 
 def test_flow_forms_unavailable_for_deep_magnitude():
@@ -248,6 +256,27 @@ def test_stopping_time_reference_value():
     # direct-formula evaluation: least T with (1-η/4)^T < (ε/2)tan(φ₀/2)
     env = BoundEnvelope("angle", 1, 1.0, math.pi / 2, 0.5, r=0.5, R=1.5)
     assert stopping_time(env, 1e-3, 1e-2) == 21_191
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(0, 3),
+    vstar=st.floats(0.5, 2.0),
+    phi0=st.floats(0.2, 3.0),
+    r=st.floats(0.2, 1.5),
+    widen=st.floats(0.05, 2.0),
+    eps=st.floats(1e-6, 1.0),
+    frac=st.floats(1e-3, 1.0, exclude_max=True),
+)
+def test_stopping_time_is_least_step_past_target(m, vstar, phi0, r, widen, eps, frac):
+    """The certificate is the first step at which the band it comes from
+    clears pi - eps."""
+    env = BoundEnvelope("angle", m, vstar, phi0, 1.0, r=r, R=r + widen)
+    eta = frac * 0.01 * eta_threshold(env)
+    T = stopping_time(env, eta, eps)
+    assert gd_bounds(env, eta, T)[0] > math.pi - eps - 1e-12
+    if T > 0:
+        assert gd_bounds(env, eta, T - 1)[0] <= math.pi - eps + 1e-12
 
 
 def test_stopping_time_guarantee_end_to_end():

@@ -191,6 +191,20 @@ def test_cli_config_error_exits_two(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "experiment = gd\nm = 1\ninit_scale = small\neta = 0.5\nsteps = 200\n",
+        "experiment = deep-general\ninit_scale = large\neta = 5.0\nsteps = 50\n",
+    ],
+    ids=["gd-divergence", "deep-general-blowup"],
+)
+def test_cli_numerical_failure_exits_three(tmp_path, capsys, text):
+    p = write_cfg(tmp_path, text)
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_run_and_seed_override(tmp_path, capsys):
     p = write_cfg(tmp_path, "experiment = flow\nm = 0\nd = 5\nt_end = 1.0\n")
     code = main(["run", "--config", str(p), "--seed", "4", "--out", str(tmp_path / "o")])
