@@ -38,7 +38,6 @@ from .descent import (
     stopping_time,
 )
 from .errors import (
-    BracketError,
     ConfigError,
     ConvergenceError,
     DegenerateAngleError,
@@ -86,13 +85,11 @@ from .population import (
     population_loss,
     relu_product_moment,
 )
-from .special import Hyp2F1Params, angle_from_tan_flow, find_root_bracketed, hyp2f1
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundEnvelope",
-    "BracketError",
     "ConfigError",
     "ConvergenceError",
     "DegenerateAngleError",
@@ -105,7 +102,6 @@ __all__ = [
     "ExperimentResult",
     "ExpFlowForm",
     "FlowSpec",
-    "Hyp2F1Params",
     "McEstimate",
     "NeuronConfig",
     "PolarState",
@@ -117,7 +113,6 @@ __all__ = [
     "angle_bounds_multilayer",
     "angle_bounds_one_layer",
     "angle_concentration",
-    "angle_from_tan_flow",
     "balanced_population_loss",
     "check_envelope",
     "convergence_horizon",
@@ -125,7 +120,6 @@ __all__ = [
     "envelope_curve",
     "epsilon_gap",
     "eta_threshold",
-    "find_root_bracketed",
     "flow_forms_for",
     "frozen_gap_magnitude_implicit",
     "frozen_gap_magnitude_ode",
@@ -135,7 +129,6 @@ __all__ = [
     "gd_step",
     "gf_to_gd",
     "half_space_second_moment",
-    "hyp2f1",
     "integrate_polar",
     "integrate_vector",
     "magnitude_bounds_multilayer",

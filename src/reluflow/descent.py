@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import BoundEnvelope, _band_at, _band_forms
+from .bounds import BoundEnvelope, _Band, _band_at, _band_forms
 from .errors import DivergenceError, DomainError
 from .flow import Trajectory, epsilon_gap
 from .population import (
@@ -260,12 +260,15 @@ def eta_threshold(env: BoundEnvelope) -> float:
     Bands are proven under eta well below this; the package treats a tenth
     of it as the hard ceiling and a hundredth as the clean regime.
     """
-    band = _band_forms(env)
+    return _threshold(_band_forms(env))
+
+
+def _threshold(band: _Band) -> float:
     return 1.0 / max(t.c for t in band.lower + band.upper)
 
 
-def _warn_eta(env: BoundEnvelope, eta: float) -> None:
-    thr = eta_threshold(env)
+def _warn_eta(band: _Band, eta: float) -> None:
+    thr = _threshold(band)
     if eta > 0.1 * thr:
         warnings.warn(
             f"eta={eta} exceeds 10% of the theorem threshold {thr}; "
@@ -288,8 +291,9 @@ def gd_bounds(env: BoundEnvelope, eta: float, T: int) -> tuple[float, float]:
     steps = int(T) - int(env.anchor_time)
     if steps < 0:
         raise DomainError(f"T={T} precedes the envelope anchor {env.anchor_time}")
-    _warn_eta(env, eta)
-    return _band_at(_band_forms(env), lambda c: (1.0 - c * eta) ** steps)
+    band = _band_forms(env)
+    _warn_eta(band, eta)
+    return _band_at(band, lambda c: (1.0 - c * eta) ** steps)
 
 
 def gd_envelope_curve(

@@ -1,8 +1,8 @@
 """Exception vocabulary shared across the package.
 
 Numerical routines here fail loudly and specifically: a caller that feeds a
-half-space moment a non-unit vector, or asks a bounded-bracket root finder for
-a root that is not bracketed, gets a typed error rather than a NaN.
+half-space moment a non-unit vector, or an integration that blows up, gets a
+typed error rather than a NaN.
 """
 
 
@@ -20,10 +20,6 @@ class ZeroVectorError(DomainError):
 
 class DegenerateAngleError(DomainError):
     """An angle-dependent closed form was evaluated at a degenerate angle."""
-
-
-class BracketError(ValueError):
-    """A root-finding bracket does not actually bracket a sign change."""
 
 
 class ConvergenceError(RuntimeError):

@@ -16,7 +16,7 @@ from reluflow.bounds import (
     magnitude_bounds_one_layer,
     reanchored,
 )
-from reluflow.errors import DomainError, UnavailableError
+from reluflow.errors import DomainError
 from reluflow.flow import FlowSpec, epsilon_gap, integrate_polar
 from reluflow.population import PolarState
 
@@ -113,21 +113,46 @@ def test_deep_magnitude_limits_two_layer():
     assert up == pytest.approx(1.0, rel=1e-9)
 
 
-def test_deep_magnitude_dual_paths_agree():
-    """Root-solving through the implicit relation and integrating the
-    frozen-gap equation must land on the same curve."""
+@pytest.mark.parametrize("v0", [0.5, 1.5])
+def test_deep_magnitude_dual_paths_agree(v0):
+    """Inverting the implicit relation and integrating the frozen-gap
+    equation must land on the same curve, below and above the attractor."""
     for eps in (0.0, 0.3):
         for tau in (0.2, 0.5, 1.0):
-            via_root = frozen_gap_magnitude_implicit(2, 1.0, eps, 0.5, tau)
-            via_ode = frozen_gap_magnitude_ode(2, 1.0, eps, 0.5, tau, dt=1e-5)
+            via_root = frozen_gap_magnitude_implicit(2, 1.0, eps, v0, tau)
+            via_ode = frozen_gap_magnitude_ode(2, 1.0, eps, v0, tau, dt=1e-5)
             assert via_root == pytest.approx(via_ode, abs=1e-6)
 
 
-def test_deep_magnitude_implicit_unavailable_near_attractor():
-    # the series route runs out of terms once the state is essentially
-    # converged; callers fall back to the integration route
-    with pytest.raises(UnavailableError):
-        frozen_gap_magnitude_implicit(2, 1.0, 0.0, 0.5, 60.0)
+def test_deep_magnitude_implicit_reaches_attractor():
+    # deep into convergence the solution sits on the attractor a^(1/(m+1))
+    u = frozen_gap_magnitude_implicit(2, 1.0, 0.0, 0.5, 60.0)
+    assert u == pytest.approx(1.0, rel=1e-12)
+
+
+# (m, vstar, eps, v0, tau): starts below and above the attractor, gaps eps > 0,
+# and the stiff flow-m2 start (v0 a quarter of the attractor, fast growth)
+ORACLE_CASES = [
+    (2, 1.0, 0.0, 0.5, 1.0),
+    (2, 1.0, 0.3, 1.6, 0.7),
+    (3, 1.2, 0.0, 0.4, 2.0),
+    (3, 0.9, 0.5, 1.3, 0.3),
+    (4, 1.0, 0.2, 0.6, 3.0),
+    (4, 1.1, 0.0, 1.7, 0.05),
+    (2, 0.8, 0.6, 0.2, 5.0),
+    (2, 4.7672121897640638, 0.0, 1.2110624457848096, 0.011999196971720159),
+]
+
+
+@pytest.mark.parametrize("m, vstar, eps, v0, tau", ORACLE_CASES)
+def test_deep_magnitude_implicit_matches_high_precision_ode(m, vstar, eps, v0, tau):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a = mpmath.mpf(vstar) ** (m + 1) * (1 - mpmath.mpf(eps))
+        solve = mpmath.odefun(lambda _, u: -u**m * (u ** (m + 1) - a) / 2, 0, mpmath.mpf(v0))
+        want = float(solve(mpmath.mpf(tau)))
+    got = frozen_gap_magnitude_implicit(m, vstar, eps, v0, tau)
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_deep_magnitude_implicit_rejects_m1():
