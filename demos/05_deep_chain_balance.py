@@ -21,7 +21,7 @@ w0 *= 0.7 / np.linalg.norm(w0)
 # --- unbalanced start: gaps are frozen in time -----------------------
 hidden0 = (0.9, 0.5, 1.3, 0.8)
 traj = integrate_vector(cfg, WeightState(w0, hidden0), t_end=12.0, dt=1e-3,
-                        sample_every=400, keep_weights=True)
+                        sample_every=400)
 
 def gaps(ws):
     scales = np.concatenate([[np.linalg.norm(ws.w)], ws.hidden])
@@ -35,7 +35,7 @@ print(f"max drift of the {m} conserved gaps over the run: {drift:.2e}\n")
 # --- balanced start: five norms, one curve ----------------------------
 v0 = float(np.linalg.norm(w0))
 traj = integrate_vector(cfg, WeightState(w0, (v0,) * m), t_end=12.0, dt=1e-3,
-                        sample_every=400, keep_weights=True)
+                        sample_every=400)
 
 print("balanced chain, per-layer norms (w then 4 scalars):")
 print("    t     " + "  ".join(f"layer{j}" for j in range(m + 1)))

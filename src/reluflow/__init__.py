@@ -52,7 +52,6 @@ from .experiments import (
     ExperimentResult,
     RunConfig,
     parse_config_file,
-    reanchor_experiment,
     run_experiment,
 )
 from .flow import (
@@ -143,7 +142,6 @@ __all__ = [
     "polar_rhs",
     "population_gradient",
     "population_loss",
-    "reanchor_experiment",
     "reanchored",
     "relu_product_moment",
     "run_experiment",

@@ -26,7 +26,8 @@ the attractor, and its term is log|v - rho|. `frozen_gap_magnitude_implicit`
 inverts this relation by Newton's method on either side of the attractor;
 `frozen_gap_magnitude_ode` integrates the equation with RK4 and is the
 reference the tests compare it against; `envelope_curve` sweeps the band
-along a grid with one RK4 pass per side.
+along a grid with one RK4 pass per side, at steps of at most 1e-3 and at
+most the inverse of the field's largest |f'| between v0 and the attractor.
 
 Angle envelopes
 ---------------
@@ -272,17 +273,7 @@ def frozen_gap_magnitude_ode(
         raise DomainError("v0 must be positive")
     if tau == 0.0:
         return v0
-    a = target_norm ** (m + 1) * (1.0 - eps)
-    n = max(1, round(tau / dt))
-    h = tau / n
-    v = v0
-    for _ in range(n):
-        k1 = _frozen_ode_rhs(m, a, v)
-        k2 = _frozen_ode_rhs(m, a, v + 0.5 * h * k1)
-        k3 = _frozen_ode_rhs(m, a, v + 0.5 * h * k2)
-        k4 = _frozen_ode_rhs(m, a, v + h * k3)
-        v += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return v
+    return float(_ode_sweep(m, target_norm, eps, v0, np.array([tau]), dt)[0])
 
 
 def frozen_gap_magnitude_implicit(
@@ -391,16 +382,31 @@ def magnitude_bounds_multilayer(env: BoundEnvelope, t: float) -> tuple[float, fl
     return lower, upper
 
 
-def _ode_sweep(m: int, target_norm: float, eps: float, v0: float, taus: np.ndarray) -> np.ndarray:
-    """frozen_gap_magnitude_ode evaluated along a sorted grid in one pass."""
+def _frozen_rate(m: int, a: float, v0: float) -> float:
+    """Largest |f'| of the frozen-gap field f between v0 and the attractor."""
+    top = max(v0, a ** (1.0 / (m + 1)))
+    return 0.5 * ((2 * m + 1) * top ** (2 * m) - m * a * top ** (m - 1))
+
+
+def _ode_sweep(
+    m: int, target_norm: float, eps: float, v0: float, taus: np.ndarray, dt: float
+) -> np.ndarray:
+    """frozen_gap_magnitude_ode along a sorted grid in one RK4 pass.
+
+    Each span between grid points takes steps of at most dt, and at most
+    1 / rate, where rate is the field's largest |f'| between v0 and the
+    attractor: stiff starts stay inside RK4's stability region (h rate up
+    to about 2.785) instead of settling on a spurious fixed point.
+    """
     a = target_norm ** (m + 1) * (1.0 - eps)
+    rate = _frozen_rate(m, a, v0)
     out = np.empty(len(taus))
     v = v0
     prev = 0.0
-    for i, tau in enumerate(taus):
+    for i, tau in enumerate(taus.tolist()):
         span = tau - prev
         if span > 0:
-            n = max(1, round(span / _SWEEP_DT))
+            n = max(1, round(span / dt), math.ceil(span * rate))
             h = span / n
             for _ in range(n):
                 k1 = _frozen_ode_rhs(m, a, v)
@@ -433,8 +439,8 @@ def envelope_curve(env: BoundEnvelope, times: np.ndarray) -> tuple[np.ndarray, n
         band = _band_forms(env)
         pairs = [_flow_band(band, tau) for tau in taus]
         return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
-    lowers = _ode_sweep(env.m, env.target_norm, env.eps0, env.v0, taus)
-    uppers = _ode_sweep(env.m, env.target_norm, 0.0, env.v0, taus)
+    lowers = _ode_sweep(env.m, env.target_norm, env.eps0, env.v0, taus, _SWEEP_DT)
+    uppers = _ode_sweep(env.m, env.target_norm, 0.0, env.v0, taus, _SWEEP_DT)
     return lowers, uppers
 
 

@@ -27,7 +27,6 @@ from .experiments import (
     ExperimentResult,
     RunConfig,
     parse_config_file,
-    reanchor_experiment,
     run_experiment,
 )
 
@@ -129,12 +128,9 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if _report(run_experiment(cfg)) else 1
         if args.command == "reanchor":
             cfg = replace(_load(args.config, args, multi=False), experiment="reanchor")
-            anchors = (
-                tuple(int(a) for a in args.anchors.split(","))
-                if args.anchors
-                else None
-            )
-            return 0 if _report(reanchor_experiment(cfg, anchors)) else 1
+            if args.anchors:
+                cfg = replace(cfg, anchors=tuple(int(a) for a in args.anchors.split(",")))
+            return 0 if _report(run_experiment(cfg)) else 1
         cfgs = [_load(p, args, multi=len(args.config) > 1) for p in args.config]
         if args.jobs > 1 and len(cfgs) > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as ex:

@@ -11,6 +11,10 @@ kinds of artifacts in its output directory:
   runtime_seconds}
 * ``plot.gp``          — a self-contained gnuplot 5 script rendering the CSVs
 
+`run_experiment` is the frame of every run: it starts the clock, calls the
+registered runner, which writes the other artifacts and returns its checks,
+and owns report.json.
+
 Floats are serialized at 17 significant digits, so identical configs (seed
 included) produce byte-identical CSVs. A check's ``margin`` is its headroom:
 positive means it passed with that much room, negative says how far past the
@@ -20,7 +24,8 @@ an angle band was drawn with — when that happens the angle band's premise is
 gone, so its own check is downgraded to advisory for that run too.
 
 Scales: defaults are desk scale (d=20, n=2000, T=20000 against the full-scale
-d=100, n=10000, T=100000); ``paper_scale`` restores the full-scale values.
+d=100, n=10000, T=100000); ``paper_scale``, set by the command line's
+``--paper-scale`` flag and not a config-file key, restores the full-scale values.
 Desk runs keep the teacher's expected squared norm by scaling its variance
 with 100/d, so every rate constant matches the full-scale dynamics and only
 the sampling noise grows.
@@ -30,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -38,7 +43,9 @@ import numpy as np
 
 from .bounds import (
     BoundEnvelope,
+    EnvelopeReport,
     _frozen_ode_rhs,
+    _frozen_rate,
     check_envelope,
     convergence_horizon,
     reanchored,
@@ -62,6 +69,7 @@ from .montecarlo import (
 )
 from .population import (
     NeuronConfig,
+    PolarState,
     WeightState,
     double_wedge_second_moment,
     half_space_second_moment,
@@ -106,6 +114,7 @@ _DEEP_DIMS = {"paper": {"d": 100, "n": 10_000, "width": 50},
               "desk": {"d": 15, "n": 800, "width": 30}}
 
 _SCALE_RATIO = {"small": 0.1, "middle": 1.0, "large": 2.0}
+_SAMPLES = 400  # about this many samples are recorded per run
 
 _INT_KEYS = {"m", "d", "n", "steps", "seed"}
 _FLOAT_KEYS = {"eta", "dt", "t_end", "target_scale", "eps"}
@@ -217,15 +226,13 @@ def _trajectory_rows(traj: Trajectory) -> list[tuple[float, float, float, float]
 
 
 def _write_bounds(
-    outdir: Path,
-    per_kind: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
-    filename: str = "bounds.csv",
+    outdir: Path, per_kind: dict[str, EnvelopeReport], filename: str = "bounds.csv"
 ) -> None:
     lines = ["step_or_time,kind,lower,upper"]
-    for kind, (times, lowers, uppers) in per_kind.items():
+    for kind, rep in per_kind.items():
         lines += [
             f"{_fmt(float(t))},{kind},{_fmt(float(lo))},{_fmt(float(up))}"
-            for t, lo, up in zip(times, lowers, uppers)
+            for t, lo, up in zip(rep.times, rep.lowers, rep.uppers)
         ]
     (outdir / filename).write_text("\n".join(lines) + "\n")
 
@@ -313,31 +320,34 @@ def _resolve_scales(cfg: RunConfig) -> tuple[int, int, int]:
     return d, n, steps
 
 
-def _teacher_variance(cfg: RunConfig, base_kstar: float, d: int) -> float:
-    if cfg.target_scale is not None:
-        return cfg.target_scale
-    # Keep E||target||^2 = d * k at its full-scale value on smaller d.
-    return base_kstar * (_PAPER["d"] / d)
-
-
-def _init_variance(cfg: RunConfig, kstar: float) -> tuple[float, str]:
-    scale = cfg.init_scale if cfg.init_scale is not None else "small"
-    if isinstance(scale, str):
-        return _SCALE_RATIO[scale] * kstar, scale
-    ratio = scale / kstar
-    label = "small" if ratio < 0.5 else ("middle" if ratio <= 1.5 else "large")
-    return float(scale), label
-
-
 def _draw_problem(
-    cfg: RunConfig, d: int, m: int, kstar: float, k: float
-) -> tuple[NeuronConfig, WeightState]:
+    cfg: RunConfig, m: int, base_kstar: float, default_scale: str
+) -> tuple[NeuronConfig, WeightState, PolarState, str]:
+    """Teacher config, balanced start, its polar state and its scale label.
+
+    The teacher is drawn first, then the start, from the config's seed."""
+    d, _, _ = _resolve_scales(cfg)
+    # Keep E||target||^2 = d * k at its full-scale value on smaller d.
+    kstar = cfg.target_scale if cfg.target_scale is not None else base_kstar * (_PAPER["d"] / d)
+    scale = cfg.init_scale if cfg.init_scale is not None else default_scale
+    if isinstance(scale, str):
+        k, label = _SCALE_RATIO[scale] * kstar, scale
+    else:
+        ratio = scale / kstar
+        k = float(scale)
+        label = "small" if ratio < 0.5 else ("middle" if ratio <= 1.5 else "large")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     target = rng.normal(0.0, math.sqrt(kstar), d)
     w0 = rng.normal(0.0, math.sqrt(k), d)
     config = NeuronConfig(d=d, m=m, target_w=target)
     norm0 = float(np.linalg.norm(w0))
-    return config, WeightState(w0, (norm0,) * m)
+    init = WeightState(w0, (norm0,) * m)
+    return config, init, polar_of(config, init), label
+
+
+def _stride(n: int) -> int:
+    """Sample stride that keeps about _SAMPLES samples of an n-step run."""
+    return max(1, n // _SAMPLES)
 
 
 def _rr_recipe(label: str, v0: float, tnorm: float) -> tuple[float, float, list[dict]]:
@@ -356,6 +366,13 @@ def _rr_recipe(label: str, v0: float, tnorm: float) -> tuple[float, float, list[
     return r, R, checks
 
 
+def _bracket(checks: list[dict], traj: Trajectory, r: float, R: float) -> bool:
+    """Record whether the magnitude stayed in [r, R]; the angle band needs it."""
+    vmin, vmax = float(np.min(traj.magnitudes)), float(np.max(traj.magnitudes))
+    checks.append(_advisory("magnitude_bracket", min(vmin - r, R - vmax)))
+    return r <= vmin and vmax <= R
+
+
 def _out_dir(cfg: RunConfig, *tags: str) -> Path:
     if cfg.output_dir is not None:
         out = Path(cfg.output_dir)
@@ -366,35 +383,42 @@ def _out_dir(cfg: RunConfig, *tags: str) -> Path:
     return out
 
 
+def _write_run(
+    outdir: Path, traj: Trajectory, per_kind: dict[str, EnvelopeReport], xlabel: str
+) -> None:
+    """trajectory.csv, bounds.csv and a plot.gp over them, one panel per kind."""
+    _write_trajectory(outdir, _trajectory_rows(traj))
+    _write_bounds(outdir, per_kind)
+    (outdir / "plot.gp").write_text(_plot_script(["bounds.csv"], list(per_kind), xlabel))
+
+
 def _envelope_range_slack(lowers: np.ndarray, uppers: np.ndarray) -> float:
     return 0.02 * float(np.max(uppers) - np.min(lowers))
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# experiment runners: each writes its artifacts and returns (outdir, checks);
+# run_experiment times it and writes report.json
 
-def _run_flow(cfg: RunConfig) -> ExperimentResult:
-    t0 = time.monotonic()
+_Outcome = tuple[Path, list[dict]]
+
+
+def _run_flow(cfg: RunConfig) -> _Outcome:
     m = int(cfg.m)
-    d, _, _ = _resolve_scales(cfg)
-    kstar = _teacher_variance(cfg, _FIG_KSTAR.get(m, 1.0), d)
-    k, label = _init_variance(cfg, kstar)
-    config, init = _draw_problem(cfg, d, m, kstar, k)
-    polar0 = polar_of(config, init)
+    config, _, polar0, label = _draw_problem(cfg, m, _FIG_KSTAR.get(m, 1.0), "small")
     tnorm = config.target_norm
 
     t_end = cfg.t_end if cfg.t_end is not None else min(
         20.0, convergence_horizon(m, tnorm, polar0.magnitude, polar0.angle)
     )
-    dt = cfg.dt if cfg.dt is not None else 1e-3
+    # RK4 needs h |f'| below about 2.785; stiff deep starts get a smaller step.
+    rate = _frozen_rate(m, tnorm ** (m + 1), polar0.magnitude)
+    dt = cfg.dt if cfg.dt is not None else min(1e-3, 1.0 / rate)
     spec = FlowSpec(m=m, target_norm=tnorm, initial=polar0, t_end=t_end, dt=dt)
-    n_steps = max(1, round(t_end / dt))
-    traj = integrate_polar(spec, sample_every=max(1, n_steps // 400))
+    traj = integrate_polar(spec, sample_every=_stride(round(t_end / dt)))
 
     outdir = _out_dir(cfg, f"m{m}", label)
-    checks: list[dict] = []
-    r, R, checks_rr = _rr_recipe(label, polar0.magnitude, tnorm)
-    checks += checks_rr
+    r, R, checks = _rr_recipe(label, polar0.magnitude, tnorm)
 
     mag_env = BoundEnvelope("magnitude", m, tnorm, polar0.angle, polar0.magnitude)
     ang_env = BoundEnvelope("angle", m, tnorm, polar0.angle, polar0.magnitude, r=r, R=R)
@@ -402,27 +426,15 @@ def _run_flow(cfg: RunConfig) -> ExperimentResult:
     mag_rep = check_envelope(traj, mag_env, slack)
     ang_rep = check_envelope(traj, ang_env, slack)
 
-    vmin, vmax = float(np.min(traj.magnitudes)), float(np.max(traj.magnitudes))
-    bracket_ok = r <= vmin and vmax <= R
-    checks.append(_advisory("magnitude_bracket", min(vmin - r, R - vmax)))
+    bracket_ok = _bracket(checks, traj, r, R)
     checks.append(_check("magnitude_envelope", mag_rep.passed, slack - mag_rep.worst_margin))
     if bracket_ok:
         checks.append(_check("angle_envelope", ang_rep.passed, slack - ang_rep.worst_margin))
     else:
         checks.append(_advisory("angle_envelope", slack - ang_rep.worst_margin))
 
-    _write_trajectory(outdir, _trajectory_rows(traj))
-    _write_bounds(
-        outdir,
-        {
-            "magnitude": (mag_rep.times, mag_rep.lowers, mag_rep.uppers),
-            "angle": (ang_rep.times, ang_rep.lowers, ang_rep.uppers),
-        },
-    )
-    (outdir / "plot.gp").write_text(
-        _plot_script(["bounds.csv"], ["magnitude", "angle"], "time")
-    )
-    return _finalize(outdir, cfg.experiment, cfg.seed, checks, t0)
+    _write_run(outdir, traj, {"magnitude": mag_rep, "angle": ang_rep}, "time")
+    return outdir, checks
 
 
 def _band_checks(
@@ -431,42 +443,33 @@ def _band_checks(
     eta: float,
     name: str,
     enforce: bool,
-) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[dict, EnvelopeReport]:
     rep = check_envelope(traj, env, 0.0, bounds_fn=gd_envelope_curve(env, eta))
     slack = _envelope_range_slack(rep.lowers, rep.uppers)
     ok = rep.worst_margin <= slack
     margin = slack - rep.worst_margin
     check = _check(name, ok, margin) if enforce else _advisory(name, margin)
-    return check, (rep.times, rep.lowers, rep.uppers)
+    return check, rep
 
 
-def _run_descent_figure(cfg: RunConfig, kinds: list[str]) -> ExperimentResult:
-    t0 = time.monotonic()
+def _run_descent_figure(cfg: RunConfig, kinds: list[str]) -> _Outcome:
     m = int(cfg.m)
     if "magnitude" in kinds and m >= 2:
         raise ConfigError("descent-side magnitude bands exist for m <= 1 only")
-    d, n, steps = _resolve_scales(cfg)
-    kstar = _teacher_variance(cfg, _FIG_KSTAR.get(m, 1.0), d)
-    k, label = _init_variance(cfg, kstar)
-    config, init = _draw_problem(cfg, d, m, kstar, k)
+    _, n, steps = _resolve_scales(cfg)
+    config, init, polar0, label = _draw_problem(cfg, m, _FIG_KSTAR.get(m, 1.0), "small")
     eta = cfg.eta if cfg.eta is not None else _FIG_ETA.get(m)
     if eta is None:
         raise ConfigError(f"no default step size for m={m}; set eta explicitly")
     dc = DescentConfig(eta=eta, steps=steps, mode="empirical", n_samples=n,
-                       seed=cfg.seed, record_every=max(1, steps // 400))
+                       seed=cfg.seed, record_every=_stride(steps))
     traj = run_gd(config, init, dc)
-    polar0 = polar_of(config, init)
     tnorm = config.target_norm
     outdir = _out_dir(cfg, f"m{m}", label)
-    checks: list[dict] = []
-    r, R, checks_rr = _rr_recipe(label, polar0.magnitude, tnorm)
-    checks += checks_rr
+    r, R, checks = _rr_recipe(label, polar0.magnitude, tnorm)
+    bracket_ok = _bracket(checks, traj, r, R)
 
-    vmin, vmax = float(np.min(traj.magnitudes)), float(np.max(traj.magnitudes))
-    bracket_ok = r <= vmin and vmax <= R
-    checks.append(_advisory("magnitude_bracket", min(vmin - r, R - vmax)))
-
-    bounds_data: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    bounds_data: dict[str, EnvelopeReport] = {}
     for kind in kinds:
         if kind == "magnitude":
             env = BoundEnvelope("magnitude", m, tnorm, polar0.angle, polar0.magnitude)
@@ -485,50 +488,41 @@ def _run_descent_figure(cfg: RunConfig, kinds: list[str]) -> ExperimentResult:
     )
     checks.append(_check("eta_regime", eta <= 0.1 * thr, 0.1 * thr - eta))
 
-    _write_trajectory(outdir, _trajectory_rows(traj))
-    _write_bounds(outdir, bounds_data)
-    (outdir / "plot.gp").write_text(_plot_script(["bounds.csv"], kinds, "step"))
-    return _finalize(outdir, cfg.experiment, cfg.seed, checks, t0)
+    _write_run(outdir, traj, bounds_data, "step")
+    return outdir, checks
 
 
-def reanchor_experiment(
-    cfg: RunConfig, anchor_steps: tuple[int, ...] | None = None
-) -> ExperimentResult:
-    """Descent run whose magnitude band is re-anchored at the given steps.
+def _run_reanchor(cfg: RunConfig) -> _Outcome:
+    """Descent run whose magnitude band is re-anchored at cfg.anchors.
 
     Each anchor writes its own bounds CSV; the bands must all hold and each
     later anchor must have strictly smaller worst margin over its window.
     """
-    t0 = time.monotonic()
     m = int(cfg.m)
     if m not in _REANCHOR:
         raise ConfigError("re-anchored magnitude bands exist for m in {0, 1} only")
     defaults = _REANCHOR[m]
-    anchors = anchor_steps or cfg.anchors or defaults["anchors"]
-    anchors = tuple(sorted(int(a) for a in anchors))
+    anchors = tuple(sorted(int(a) for a in cfg.anchors or defaults["anchors"]))
     if anchors[0] < 0:
         raise ConfigError("anchors must be non-negative steps")
 
-    d, n, _ = _resolve_scales(cfg)
+    _, n, _ = _resolve_scales(cfg)
     steps = cfg.steps if cfg.steps is not None else defaults["steps"]
     if anchors[-1] >= steps:
         raise ConfigError(f"anchors {anchors} must precede the run length {steps}")
     eta = cfg.eta if cfg.eta is not None else defaults["eta"]
-    kstar = _teacher_variance(cfg, _REANCHOR_KSTAR, d)
-    k, label = _init_variance(cfg, kstar)
-    config, init = _draw_problem(cfg, d, m, kstar, k)
+    config, init, polar0, label = _draw_problem(cfg, m, _REANCHOR_KSTAR, "small")
 
     # Sample stride must divide every anchor so each anchor lands on a sample;
     # among those strides take the largest giving >= ~400 samples.
     g = math.gcd(steps, *(a for a in anchors if a > 0)) if any(anchors) else steps
-    target = max(1, steps // 400)
+    target = _stride(steps)
     record = max(s for s in range(1, g + 1) if g % s == 0 and s <= target)
     dc = DescentConfig(
         eta=eta, steps=steps, mode="empirical", n_samples=n, seed=cfg.seed,
         record_every=record,
     )
     traj = run_gd(config, init, dc)
-    polar0 = polar_of(config, init)
     tnorm = config.target_norm
 
     outdir = _out_dir(cfg, f"m{m}", label)
@@ -553,7 +547,7 @@ def reanchor_experiment(
             float(np.max(rep.values - rep.lowers)),
         ))
         fname = f"bounds_anchor_{anchor}.csv"
-        _write_bounds(outdir, {"magnitude": (rep.times, rep.lowers, rep.uppers)}, fname)
+        _write_bounds(outdir, {"magnitude": rep}, fname)
         bounds_files.append(fname)
 
     tighten = all(b < a for a, b in zip(worst_slacks, worst_slacks[1:]))
@@ -562,7 +556,7 @@ def reanchor_experiment(
 
     _write_trajectory(outdir, _trajectory_rows(traj))
     (outdir / "plot.gp").write_text(_plot_script(bounds_files, ["magnitude"], "step"))
-    return _finalize(outdir, cfg.experiment, cfg.seed, checks, t0)
+    return outdir, checks
 
 
 def _zmax(estimate_value: np.ndarray, closed: np.ndarray, stderr: np.ndarray) -> float:
@@ -570,8 +564,7 @@ def _zmax(estimate_value: np.ndarray, closed: np.ndarray, stderr: np.ndarray) ->
     return float(np.max(err / np.maximum(np.asarray(stderr), 1e-300)))
 
 
-def _run_lemma_verify(cfg: RunConfig) -> ExperimentResult:
-    t0 = time.monotonic()
+def _run_lemma_verify(cfg: RunConfig) -> _Outcome:
     d = cfg.d if cfg.d is not None else 5
     n = cfg.n if cfg.n is not None else 1_000_000
     # Independent child streams for the direction draw and each estimator.
@@ -608,12 +601,10 @@ def _run_lemma_verify(cfg: RunConfig) -> ExperimentResult:
     frac, bound = angle_concentration(100, 0.3, 100_000, kids[6])
     checks.append(_check("angle_concentration", frac >= bound, frac - bound))
 
-    outdir = _out_dir(cfg, f"d{d}")
-    return _finalize(outdir, cfg.experiment, cfg.seed, checks, t0)
+    return _out_dir(cfg, f"d{d}"), checks
 
 
-def _run_error_scaling(cfg: RunConfig) -> ExperimentResult:
-    t0 = time.monotonic()
+def _run_error_scaling(cfg: RunConfig) -> _Outcome:
     horizon = cfg.t_end if cfg.t_end is not None else 8.0
     etas = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
     # The m = 1 frozen-gap flow at eps = 0 with a unit teacher from v0 = 0.5:
@@ -633,18 +624,12 @@ def _run_error_scaling(cfg: RunConfig) -> ExperimentResult:
         checks.append(_check(f"halving_ratio_eta_{eta:g}", ok, min(ratio - 1.6, 2.4 - ratio)))
     slope = float(np.polyfit(np.log([p[0] for p in pairs]), np.log([p[1] for p in pairs]), 1)[0])
     checks.append(_check("log_log_slope", 0.8 <= slope <= 1.2, 0.2 - abs(slope - 1.0)))
-    return _finalize(outdir, cfg.experiment, cfg.seed, checks, t0)
+    return outdir, checks
 
 
-def _run_stopping_time(cfg: RunConfig) -> ExperimentResult:
-    t0 = time.monotonic()
+def _run_stopping_time(cfg: RunConfig) -> _Outcome:
     m = int(cfg.m) if cfg.m is not None else 1
-    d, _, _ = _resolve_scales(cfg)
-    kstar = _teacher_variance(cfg, _FIG_KSTAR.get(m, 1.0), d)
-    cfg_scale = cfg.init_scale if cfg.init_scale is not None else "middle"
-    k, label = _init_variance(replace(cfg, init_scale=cfg_scale), kstar)
-    config, init = _draw_problem(cfg, d, m, kstar, k)
-    polar0 = polar_of(config, init)
+    config, init, polar0, label = _draw_problem(cfg, m, _FIG_KSTAR.get(m, 1.0), "middle")
     tnorm = config.target_norm
     r, R, checks = _rr_recipe(label, polar0.magnitude, tnorm)
 
@@ -653,24 +638,19 @@ def _run_stopping_time(cfg: RunConfig) -> ExperimentResult:
     eta = cfg.eta if cfg.eta is not None else 0.005 * eta_threshold(env)
     T = stopping_time(env, eta, eps)
 
-    dc = DescentConfig(eta=eta, steps=T, mode="population",
-                       record_every=max(1, T // 400) if T else 1)
+    dc = DescentConfig(eta=eta, steps=T, mode="population", record_every=_stride(T))
     traj = run_gd(config, init, dc)
     final_angle = traj.states[-1].angle
-    vmin = float(np.min(traj.magnitudes))
-    vmax = float(np.max(traj.magnitudes))
-    checks.append(_advisory("magnitude_bracket", min(vmin - r, R - vmax)))
+    _bracket(checks, traj, r, R)
     checks.append(
         _check("angle_beats_target", final_angle > math.pi - eps,
                final_angle - (math.pi - eps))
     )
 
     outdir = _out_dir(cfg, f"m{m}", label)
-    _write_trajectory(outdir, _trajectory_rows(traj))
     rep = check_envelope(traj, env, 0.0, bounds_fn=gd_envelope_curve(env, eta))
-    _write_bounds(outdir, {"angle": (rep.times, rep.lowers, rep.uppers)})
-    (outdir / "plot.gp").write_text(_plot_script(["bounds.csv"], ["angle"], "step"))
-    return _finalize(outdir, cfg.experiment, cfg.seed, checks, t0)
+    _write_run(outdir, traj, {"angle": rep}, "step")
+    return outdir, checks
 
 
 # --- general deep network ---------------------------------------------------
@@ -701,8 +681,7 @@ def _mlp_forward_backward(
     return loss, grads
 
 
-def _run_deep_general(cfg: RunConfig) -> ExperimentResult:
-    t0 = time.monotonic()
+def _run_deep_general(cfg: RunConfig) -> _Outcome:
     label = cfg.init_scale if isinstance(cfg.init_scale, str) else None
     if label not in ("small", "large"):
         raise ConfigError("deep-general needs init_scale small or large")
@@ -728,7 +707,7 @@ def _run_deep_general(cfg: RunConfig) -> ExperimentResult:
         h = np.maximum(h @ w, 0.0)
     y = (h @ teacher[-1])[:, 0]
 
-    record_every = max(1, steps // 400)
+    record_every = _stride(steps)
     norms = []
     losses = []
     times = []
@@ -775,7 +754,7 @@ def _run_deep_general(cfg: RunConfig) -> ExperimentResult:
     rows = [(t, nr, math.nan, ls) for t, nr, ls in zip(times, norms, losses)]
     _write_trajectory(outdir, rows)
     (outdir / "plot.gp").write_text(_plot_script([], ["magnitude"], "step"))
-    return _finalize(outdir, cfg.experiment, cfg.seed, checks, t0)
+    return outdir, checks
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +765,7 @@ class Experiment(NamedTuple):
 
     description: str
     required: frozenset[str]
-    run: Callable[[RunConfig], ExperimentResult]
+    run: Callable[[RunConfig], _Outcome]
 
 
 EXPERIMENTS: dict[str, Experiment] = {
@@ -806,7 +785,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         frozenset({"m", "init_scale"}), lambda cfg: _run_descent_figure(cfg, ["magnitude"])),
     "reanchor": Experiment(
         "descent magnitude bands re-anchored along the run; bands must tighten",
-        frozenset({"m"}), reanchor_experiment),
+        frozenset({"m"}), _run_reanchor),
     "lemma-verify": Experiment(
         "Monte Carlo verification of the Gaussian moment closed forms",
         frozenset(), _run_lemma_verify),
@@ -823,5 +802,11 @@ EXPERIMENTS: dict[str, Experiment] = {
 
 
 def run_experiment(cfg: RunConfig) -> ExperimentResult:
-    """Run one experiment to completion and write its artifacts."""
-    return EXPERIMENTS[cfg.experiment].run(cfg)
+    """Run one experiment to completion: the frame of every run.
+
+    Starts the clock, lets the registered runner write its artifacts and
+    return its checks, then writes report.json with the runtime.
+    """
+    t0 = time.monotonic()
+    outdir, checks = EXPERIMENTS[cfg.experiment].run(cfg)
+    return _finalize(outdir, cfg.experiment, cfg.seed, checks, t0)

@@ -248,12 +248,11 @@ def integrate_vector(
     t_end: float,
     dt: float = 1e-3,
     sample_every: int = 1,
-    keep_weights: bool = False,
 ) -> Trajectory:
     """Integrate the full flow d(params)/dt = -grad L with fixed-step RK4.
 
-    Records the reduced coordinates and population loss of each sample;
-    keep_weights additionally retains the full WeightState at sample points.
+    Records the reduced coordinates, population loss and full WeightState of
+    each sample.
     Works for arbitrary (not necessarily balanced) positive hidden scalars.
     """
     if sample_every < 1:
@@ -307,7 +306,7 @@ def integrate_vector(
     polar0, loss0, w0 = snapshot(0.0)
     states = [polar0]
     losses = [loss0]
-    weights = [w0] if keep_weights else None
+    weights = [w0]
 
     for k in range(n_steps):
         k1 = rhs(y)
@@ -325,7 +324,6 @@ def integrate_vector(
             times.append(t)
             states.append(polar)
             losses.append(loss)
-            if weights is not None:
-                weights.append(wstate)
+            weights.append(wstate)
 
     return Trajectory(np.array(times), states, losses=np.array(losses), weight_states=weights)

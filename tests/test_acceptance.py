@@ -31,7 +31,7 @@ from reluflow.descent import (
     run_gd,
     stopping_time,
 )
-from reluflow.experiments import RunConfig, reanchor_experiment, run_experiment
+from reluflow.experiments import RunConfig, run_experiment
 from reluflow.flow import (
     FlowSpec,
     epsilon_gap,
@@ -434,7 +434,7 @@ def test_criterion_11_balanced_gap_conservation():
         config, init = _place(5, m, 1.2, 0.8, 2.0, rng)
         init = WeightState(init.w, hidden)
         traj = integrate_vector(config, init, t_end=10.0, dt=1e-3,
-                                sample_every=100, keep_weights=True)
+                                sample_every=100)
         norm_sq0 = float(init.w @ init.w)
         gaps0 = [h * h - norm_sq0 for h in hidden]
         for ws in traj.weight_states:
@@ -490,7 +490,7 @@ def test_criterion_12_figure_reproductions():
     for m, seed in REANCHOR_SEEDS.items():
         cfg = RunConfig(experiment="reanchor", m=m, seed=seed,
                         output_dir=tempfile.mkdtemp())
-        ok &= run_ok(f"reanchor-m{m}", reanchor_experiment(cfg))
+        ok &= run_ok(f"reanchor-m{m}", run_experiment(cfg))
     for scale, seed in DEEP_SEEDS.items():
         cfg = RunConfig(experiment="deep-general", init_scale=scale, seed=seed,
                         output_dir=tempfile.mkdtemp())

@@ -124,6 +124,15 @@ def test_deep_magnitude_dual_paths_agree(v0):
             assert via_root == pytest.approx(via_ode, abs=1e-6)
 
 
+def test_deep_magnitude_ode_stays_stable_on_stiff_start():
+    # flow-m2 at seed 3: at dt = 1e-3 the start has h |f'| = 3.2, past RK4's
+    # stability limit, where fixed steps settled on 5.93 instead of 6.77
+    vstar, v0 = 6.773135866582861, 1.8711018115144316
+    via_ode = frozen_gap_magnitude_ode(2, vstar, 0.0, v0, 0.05, 1e-3)
+    via_root = frozen_gap_magnitude_implicit(2, vstar, 0.0, v0, 0.05)
+    assert via_ode == pytest.approx(via_root, rel=1e-9)
+
+
 def test_deep_magnitude_implicit_reaches_attractor():
     # deep into convergence the solution sits on the attractor a^(1/(m+1))
     u = frozen_gap_magnitude_implicit(2, 1.0, 0.0, 0.5, 60.0)

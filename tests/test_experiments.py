@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,6 @@ from reluflow.experiments import (
     EXPERIMENTS,
     RunConfig,
     parse_config_file,
-    reanchor_experiment,
     run_experiment,
 )
 
@@ -148,6 +148,13 @@ def test_bounds_csv_schema(flow_run):
         assert float(lo) <= float(up)
 
 
+def test_flow_run_on_stiff_deep_start_passes(tmp_path):
+    # seed 3 draws a start whose field is stiff enough to make RK4 at the
+    # old fixed dt = 1e-3 unstable; the default step now follows the start
+    cfg = RunConfig(experiment="flow", m=2, seed=3, output_dir=str(tmp_path))
+    assert run_experiment(cfg).passed
+
+
 def test_rerun_is_byte_identical(flow_run, tmp_path):
     cfg, res = flow_run
     import dataclasses
@@ -160,7 +167,7 @@ def test_rerun_is_byte_identical(flow_run, tmp_path):
 def test_reanchor_writes_per_anchor_bounds(tmp_path):
     cfg = RunConfig(experiment="reanchor", m=1, d=8, n=400, eta=1e-4,
                     steps=400, seed=1, output_dir=str(tmp_path))
-    res = reanchor_experiment(cfg, anchor_steps=(0, 100, 200))
+    res = run_experiment(dataclasses.replace(cfg, anchors=(0, 100, 200)))
     names = set(res.files)
     for a in (0, 100, 200):
         assert f"bounds_anchor_{a}.csv" in names
@@ -172,7 +179,7 @@ def test_reanchor_rejects_anchor_past_end(tmp_path):
     cfg = RunConfig(experiment="reanchor", m=1, d=8, n=400, eta=1e-4,
                     steps=400, seed=1, output_dir=str(tmp_path))
     with pytest.raises(ConfigError):
-        reanchor_experiment(cfg, anchor_steps=(0, 100, 500))
+        run_experiment(dataclasses.replace(cfg, anchors=(0, 100, 500)))
 
 
 # ----------------------------------------------------------------

@@ -220,8 +220,7 @@ def test_vector_flow_preserves_balance():
     w0 *= 0.8 / np.linalg.norm(w0)
     v0 = float(np.linalg.norm(w0))
     init = WeightState(w0, (v0, v0))
-    traj = integrate_vector(cfg, init, t_end=6.0, dt=1e-3, sample_every=100,
-                            keep_weights=True)
+    traj = integrate_vector(cfg, init, t_end=6.0, dt=1e-3, sample_every=100)
     for ws in traj.weight_states:
         nrm2 = float(ws.w @ ws.w)
         assert ws.hidden[0] ** 2 - nrm2 == pytest.approx(0.0, abs=1e-8)
@@ -231,7 +230,6 @@ def test_vector_flow_preserves_balance():
 def test_vector_flow_constant_at_target():
     cfg = NeuronConfig(d=3, m=1, target_w=np.array([1.0, 0.5, -0.2]))
     init = WeightState(cfg.target_w.copy(), (cfg.target_v,))
-    traj = integrate_vector(cfg, init, t_end=2.0, dt=1e-3, sample_every=100,
-                            keep_weights=True)
+    traj = integrate_vector(cfg, init, t_end=2.0, dt=1e-3, sample_every=100)
     for ws in traj.weight_states:
         assert np.allclose(ws.w, cfg.target_w, atol=1e-10)
