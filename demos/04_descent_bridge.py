@@ -16,8 +16,8 @@ from reluflow import (
     ExpFlowForm,
     NeuronConfig,
     WeightState,
+    envelope_curve,
     eta_threshold,
-    gd_bounds,
     gd_error_scaling,
     run_gd,
     stopping_time,
@@ -45,9 +45,10 @@ gap = math.pi - traj.angles[-1]
 print(f"actual gap after T steps:  {gap:.2e}  ({'met' if gap < eps else 'MISSED'})\n")
 
 print("   step     angle       [certified band]")
+lows, highs = envelope_curve(env, traj.times, eta)
 for i in np.linspace(0, len(traj.times) - 1, 6).astype(int):
     T_i = int(traj.times[i])
-    lo, hi = gd_bounds(env, eta, T_i)
+    lo, hi = lows[i], highs[i]
     inside = lo <= traj.angles[i] <= hi
     print(f"{T_i:8d}  {traj.angles[i]:.6f}   [{lo:.6f}, {hi:.6f}]"
           f"{'' if inside else '   <- outside!'}")

@@ -13,15 +13,12 @@ runs gradient descent and carries the envelopes over to discrete steps; and
 from .bounds import (
     BoundEnvelope,
     EnvelopeReport,
-    angle_bounds_multilayer,
-    angle_bounds_one_layer,
     check_envelope,
     convergence_horizon,
     envelope_curve,
     frozen_gap_magnitude_implicit,
     frozen_gap_magnitude_ode,
     magnitude_bounds_multilayer,
-    magnitude_bounds_one_layer,
     reanchored,
 )
 from .descent import (
@@ -29,8 +26,6 @@ from .descent import (
     ExpFlowForm,
     eta_threshold,
     flow_forms_for,
-    gd_bounds,
-    gd_envelope_curve,
     gd_error_scaling,
     gd_step,
     gf_to_gd,
@@ -109,8 +104,6 @@ __all__ = [
     "UnavailableError",
     "WeightState",
     "ZeroVectorError",
-    "angle_bounds_multilayer",
-    "angle_bounds_one_layer",
     "angle_concentration",
     "balanced_population_loss",
     "check_envelope",
@@ -122,8 +115,6 @@ __all__ = [
     "flow_forms_for",
     "frozen_gap_magnitude_implicit",
     "frozen_gap_magnitude_ode",
-    "gd_bounds",
-    "gd_envelope_curve",
     "gd_error_scaling",
     "gd_step",
     "gf_to_gd",
@@ -131,7 +122,6 @@ __all__ = [
     "integrate_polar",
     "integrate_vector",
     "magnitude_bounds_multilayer",
-    "magnitude_bounds_one_layer",
     "mc_double_wedge_moment",
     "mc_half_space_moment",
     "mc_population_gradient",

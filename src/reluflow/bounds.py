@@ -39,15 +39,16 @@ correction term and is clipped at pi.
 The band table
 --------------
 `_band_forms` states every closed-form band once, as terms (c, g): the
-magnitude bands for m <= 1 and the angle bands. The flow band is the sum of
-g(e^(-c tau)) over a side's terms; the descent module substitutes
-(1 - c eta)^T for e^(-c tau) in the same terms and reads its step-size
-thresholds and stopping times from the same rates.
+magnitude bands for m <= 1 and the angle bands. `envelope_curve` is the one
+evaluator of every band: a side is the sum of its g(x) over a grid, with
+x = e^(-c tau) on the flow and x = (1 - c eta)^T after T descent steps at
+step size eta. Step-size thresholds and stopping times read the same rates.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -90,23 +91,23 @@ class BoundEnvelope:
             raise DomainError(f"unknown envelope kind {self.kind!r}")
         if self.m < 0:
             raise DomainError(f"m={self.m} must be non-negative")
-        if self.target_norm <= 0:
+        if not self.target_norm > 0:
             raise DomainError("target_norm must be positive")
         if not 0.0 < self.phi0 < math.pi:
             raise DomainError(f"phi0={self.phi0} must lie strictly inside (0, pi)")
-        if self.v0 < 0:
+        if not self.v0 >= 0:
             raise DomainError("v0 must be non-negative")
         if self.m >= 1 and self.v0 == 0:
             # v = 0 is a stationary point of the deep system; the closed
             # forms are stated for positive starts
             raise DomainError("v0 must be positive when m >= 1")
-        if self.anchor_time < 0:
+        if not self.anchor_time >= 0:
             raise DomainError("anchor_time must be non-negative")
         if self.r is not None and self.R is not None and not self.r < self.R:
             raise DomainError(f"need r < R, got r={self.r}, R={self.R}")
         if self.kind == "angle" and (self.r is None or self.R is None):
             raise DomainError("angle envelopes need both magnitude bounds r and R")
-        if self.r is not None and self.r <= 0:
+        if self.r is not None and not self.r > 0:
             raise DomainError("r must be positive")
 
     @property
@@ -134,23 +135,9 @@ class EnvelopeReport:
     uppers: np.ndarray
 
 
-def _elapsed(env: BoundEnvelope, t: float) -> float:
-    tau = t - env.anchor_time
-    if tau < 0:
-        raise DomainError(f"t={t} precedes the envelope anchor {env.anchor_time}")
-    return tau
-
-
-def _require(env: BoundEnvelope, kind: str, wants_m0: bool) -> None:
-    if env.kind != kind:
-        raise DomainError(f"envelope kind {env.kind!r} does not match evaluator {kind!r}")
-    if wants_m0 != (env.m == 0):
-        raise DomainError(f"evaluator depth does not match envelope m={env.m}")
-
-
 class _Term(NamedTuple):
     c: float
-    g: Callable[[float], float]
+    g: Callable[[np.ndarray], np.ndarray]
 
 
 class _Band(NamedTuple):
@@ -187,7 +174,7 @@ def _band_forms(env: BoundEnvelope) -> _Band:
             )
         if env.m == 1:
             def logistic(a: float) -> _Term:
-                return _Term(a, lambda x: math.sqrt(a / (1.0 - (1.0 - a / (v0 * v0)) * x)))
+                return _Term(a, lambda x: np.sqrt(a / (1.0 - (1.0 - a / (v0 * v0)) * x)))
 
             return _Band(
                 (logistic(v_star**2 * (1.0 - env.eps0)),), (logistic(v_star**2),), math.inf
@@ -203,7 +190,7 @@ def _band_forms(env: BoundEnvelope) -> _Band:
         c_low = (env.phi0 / (2.0 * math.pi)) * env.r ** (env.m - 1) * vpow
         c_up = 0.5 * env.R ** (env.m - 1) * vpow
 
-    def main(x: float) -> float:
+    def main(x: np.ndarray) -> np.ndarray:
         return math.pi - 2.0 * cot * x
 
     return _Band(
@@ -213,50 +200,22 @@ def _band_forms(env: BoundEnvelope) -> _Band:
     )
 
 
-def _band_at(band: _Band, x_of: Callable[[float], float]) -> tuple[float, float]:
-    """(lower, upper) of a band with x = x_of(c) put into every term."""
-    lower = sum(g(x_of(c)) for c, g in band.lower)
-    upper = sum(g(x_of(c)) for c, g in band.upper)
-    return lower, min(upper, band.cap)
-
-
-def _flow_band(band: _Band, tau: float) -> tuple[float, float]:
-    return _band_at(band, lambda c: math.exp(-c * tau))
-
-
-def magnitude_bounds_one_layer(env: BoundEnvelope, t: float) -> tuple[float, float]:
-    """Magnitude band for m = 0: exponential relaxation toward the teacher.
-
-    lower = (1 - eps0)(1 - e^(-tau/2)) vstar + v0 e^(-tau/2); the upper side
-    is the same with eps0 = 0. Both equal v0 at the anchor.
-    """
-    _require(env, "magnitude", wants_m0=True)
-    return _flow_band(_band_forms(env), _elapsed(env, t))
-
-
-def angle_bounds_one_layer(env: BoundEnvelope, t: float) -> tuple[float, float]:
-    """Angle band for m = 0, run at worst-case rates vstar/(2R) and vstar/(2r).
-
-    lower = pi - 2 cot(phi0/2) exp(-(vstar/2R)(phi0/pi) tau);
-    upper = pi - 2 cot(phi0/2) exp(-(vstar/2r) tau)
-            + (2/3) cot^3(phi0/2) exp(-3(vstar/2r) tau), clipped to pi.
-    """
-    _require(env, "angle", wants_m0=True)
-    return _flow_band(_band_forms(env), _elapsed(env, t))
-
-
-def angle_bounds_multilayer(env: BoundEnvelope, t: float) -> tuple[float, float]:
-    """Angle band for m >= 1; the magnitude factor v^(m-1) is bounded by r, R.
-
-    lower rate (phi0/2pi) r^(m-1) vstar^(m+1); upper rates
-    (1/2) R^(m-1) vstar^(m+1) and three times that for the cubic term.
-    """
-    _require(env, "angle", wants_m0=False)
-    return _flow_band(_band_forms(env), _elapsed(env, t))
+def _threshold(band: _Band) -> float:
+    """Theorem-scale step-size constant of a band: 1 / c at its fastest rate."""
+    return 1.0 / max(t.c for t in band.lower + band.upper)
 
 
 def _frozen_ode_rhs(m: int, a: float, v: float) -> float:
     return -0.5 * v**m * (v ** (m + 1) - a)
+
+
+def _check_frozen(eps: float, v0: float, tau: float) -> None:
+    if not 0.0 <= eps <= 1.0:
+        raise DomainError(f"eps={eps} must lie in [0, 1]")
+    if not tau >= 0:
+        raise DomainError("tau must be non-negative")
+    if not v0 > 0:
+        raise DomainError("v0 must be positive")
 
 
 def frozen_gap_magnitude_ode(
@@ -265,12 +224,9 @@ def frozen_gap_magnitude_ode(
     """u(tau; eps) by fixed-step RK4 on the frozen-gap equation (reference path)."""
     if m < 1:
         raise DomainError("frozen-gap magnitude paths apply to m >= 1")
-    if not 0.0 <= eps <= 1.0:
-        raise DomainError(f"eps={eps} must lie in [0, 1]")
-    if tau < 0:
-        raise DomainError("tau must be non-negative")
-    if v0 <= 0:
-        raise DomainError("v0 must be positive")
+    _check_frozen(eps, v0, tau)
+    if not dt > 0:
+        raise DomainError(f"dt={dt} must be positive")
     if tau == 0.0:
         return v0
     return float(_ode_sweep(m, target_norm, eps, v0, np.array([tau]), dt)[0])
@@ -294,12 +250,7 @@ def frozen_gap_magnitude_implicit(
     """
     if m < 2:
         raise DomainError("the implicit path needs m >= 2")
-    if not 0.0 <= eps <= 1.0:
-        raise DomainError(f"eps={eps} must lie in [0, 1]")
-    if tau < 0:
-        raise DomainError("tau must be non-negative")
-    if v0 <= 0:
-        raise DomainError("v0 must be positive")
+    _check_frozen(eps, v0, tau)
     if tau == 0.0:
         return v0
     a = target_norm ** (m + 1) * (1.0 - eps)
@@ -368,15 +319,16 @@ def frozen_gap_magnitude_implicit(
 
 
 def magnitude_bounds_multilayer(env: BoundEnvelope, t: float) -> tuple[float, float]:
-    """Magnitude band for m >= 1: frozen-gap solutions at eps0 and at 0.
+    """Pointwise m >= 2 magnitude band: frozen-gap solutions at eps0 (lower)
+    and at 0 (upper), by inverting the closed-form antiderivative.
 
-    m = 1 reads the logistic closed form from the band table; deeper bands
-    invert the closed-form antiderivative.
+    Every other band, and this one along a grid, comes from envelope_curve.
     """
-    _require(env, "magnitude", wants_m0=False)
-    tau = _elapsed(env, t)
-    if env.m == 1:
-        return _flow_band(_band_forms(env), tau)
+    if env.kind != "magnitude" or env.m < 2:
+        raise DomainError("the pointwise implicit band is the m >= 2 magnitude band")
+    tau = t - env.anchor_time
+    if not tau >= 0:
+        raise DomainError(f"t={t} precedes the envelope anchor {env.anchor_time}")
     lower = frozen_gap_magnitude_implicit(env.m, env.target_norm, env.eps0, env.v0, tau)
     upper = frozen_gap_magnitude_implicit(env.m, env.target_norm, 0.0, env.v0, tau)
     return lower, upper
@@ -419,43 +371,67 @@ def _ode_sweep(
     return out
 
 
-def envelope_curve(env: BoundEnvelope, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lowers, uppers) along an increasing grid of absolute times.
+def envelope_curve(
+    env: BoundEnvelope, times: np.ndarray, eta: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lowers, uppers) along a non-decreasing grid of times at or after the anchor.
 
-    Closed forms come from the band table; the m >= 2 magnitude band is swept
-    by a single frozen-gap integration per side, which is what makes
-    per-sample envelope checking affordable on long trajectories.
+    Without eta the times are flow times and each side is the sum of its
+    table terms g(x) at x = e^(-c tau), tau = t - anchor_time; the m >= 2
+    magnitude band, which has no such terms, is swept by a single frozen-gap
+    integration per side. With eta the times are descent step counts and
+    x = (1 - c eta)^(T - anchor): the flow band pushed through the
+    substitution, for whole step counts only. Descent bands exist wherever
+    the table has terms (UnavailableError otherwise), and a step size above
+    a tenth of the band's threshold warns once: the band is drawn but no
+    longer guaranteed.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise DomainError("times must be a 1-d array")
+    if not np.all(np.isfinite(times)):
+        raise DomainError("times must be finite")
     if np.any(np.diff(times) < 0):
         raise DomainError("times must be non-decreasing")
     if len(times) and times[0] < env.anchor_time:
         raise DomainError("times precede the envelope anchor")
     taus = times - env.anchor_time
 
-    if env.kind == "angle" or env.m <= 1:
-        band = _band_forms(env)
-        pairs = [_flow_band(band, tau) for tau in taus]
-        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
-    lowers = _ode_sweep(env.m, env.target_norm, env.eps0, env.v0, taus, _SWEEP_DT)
-    uppers = _ode_sweep(env.m, env.target_norm, 0.0, env.v0, taus, _SWEEP_DT)
-    return lowers, uppers
+    if eta is None and env.kind == "magnitude" and env.m >= 2:
+        lowers = _ode_sweep(env.m, env.target_norm, env.eps0, env.v0, taus, _SWEEP_DT)
+        uppers = _ode_sweep(env.m, env.target_norm, 0.0, env.v0, taus, _SWEEP_DT)
+        return lowers, uppers
+    band = _band_forms(env)
+    if eta is not None:
+        if not eta > 0:
+            raise DomainError("eta must be positive")
+        if np.any(taus != np.floor(taus)):
+            raise DomainError("descent times must be whole step counts from the anchor")
+        threshold = _threshold(band)
+        if eta > 0.1 * threshold:
+            warnings.warn(
+                f"eta={eta} exceeds 10% of the theorem threshold {threshold}; "
+                "the band is drawn but no longer guaranteed",
+                stacklevel=2,
+            )
+
+    def x_of(c: float) -> np.ndarray:
+        return np.exp(-c * taus) if eta is None else (1.0 - c * eta) ** taus
+
+    lowers = sum(g(x_of(c)) for c, g in band.lower)
+    uppers = sum(g(x_of(c)) for c, g in band.upper)
+    return lowers, np.minimum(uppers, band.cap)
 
 
 def check_envelope(
-    traj: Trajectory,
-    env: BoundEnvelope,
-    slack: float,
-    bounds_fn: Callable[[BoundEnvelope, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
+    traj: Trajectory, env: BoundEnvelope, slack: float, eta: float | None = None
 ) -> EnvelopeReport:
     """Check every sample at t >= anchor_time against the band, with slack.
 
     A sample fails when it sits more than slack outside [lower, upper]. The
     report keeps the per-sample band so callers can serialize or plot it.
-    bounds_fn overrides the band evaluation (descent envelopes are evaluated
-    per step index rather than per flow time, but share this machinery).
+    With eta the trajectory's times are descent steps and the band is the
+    descent band at that step size (see envelope_curve).
     """
     if slack < 0:
         raise DomainError("slack must be non-negative")
@@ -464,9 +440,7 @@ def check_envelope(
     if len(times) == 0:
         raise DomainError("no trajectory samples at or after the envelope anchor")
     values = (traj.magnitudes if env.kind == "magnitude" else traj.angles)[mask]
-    if bounds_fn is None:
-        bounds_fn = envelope_curve
-    lowers, uppers = bounds_fn(env, times)
+    lowers, uppers = envelope_curve(env, times, eta)
     margins = np.maximum(lowers - values, values - uppers)
     worst = int(np.argmax(margins))
     return EnvelopeReport(

@@ -4,19 +4,20 @@ The bridge: solutions of the flow that can be written as w(t) = g(e^(-c t))
 turn into descent-side statements by substituting e^(-c t) -> (1 - c eta)^T,
 accurate to first order in the step size over any fixed horizon c eta T.
 The closed-form envelopes are stated once, as (c, g) terms in the band
-table of the bounds module. `gd_bounds` evaluates the same terms at
-(1 - c eta)^T, so the descent-side envelopes are the flow envelopes pushed
-through the substitution (the angle upper band is the sum of two terms,
-rates c and 3c, then clipped at pi). `ExpFlowForm` carries one validated
-(c, g) pair; `flow_forms_for` wraps the table's terms in it, and `gf_to_gd`
-performs the substitution with the step-size guards below.
+table of the bounds module, and `bounds.envelope_curve(env, steps, eta)`
+evaluates them at (1 - c eta)^T: the descent-side envelopes are the flow
+envelopes pushed through the substitution (the angle upper band is the sum
+of two terms, rates c and 3c, then clipped at pi). `ExpFlowForm` carries
+one validated (c, g) pair; `flow_forms_for` wraps the table's terms in it,
+and `gf_to_gd` performs the substitution for one pair, with the step-size
+guards below.
 
 Step-size thresholds: every descent-side band is derived under a smallness
 condition on eta. `eta_threshold` returns the theorem-scale constant 1 / c
 at the band's fastest rate; `stopping_time` reads the lower rate; the
-bridge refuses eta above a tenth of it and warns above a hundredth, while the
-band evaluators only warn (a run with a too-large step still wants its band
-drawn, it just loses the guarantee).
+bridge refuses eta above a tenth of it and warns above a hundredth, while
+`envelope_curve` warns above a tenth and still draws the band (a run with a
+too-large step still wants its band drawn, it just loses the guarantee).
 
 `run_gd` trains the deep single-ReLU-neuron model itself, either on the
 population gradient (exact closed form) or on a fixed dataset drawn once
@@ -31,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import BoundEnvelope, _Band, _band_at, _band_forms
+from .bounds import BoundEnvelope, _band_forms, _threshold
 from .errors import DivergenceError, DomainError
 from .flow import Trajectory, epsilon_gap
 from .population import (
@@ -261,53 +262,6 @@ def eta_threshold(env: BoundEnvelope) -> float:
     of it as the hard ceiling and a hundredth as the clean regime.
     """
     return _threshold(_band_forms(env))
-
-
-def _threshold(band: _Band) -> float:
-    return 1.0 / max(t.c for t in band.lower + band.upper)
-
-
-def _warn_eta(band: _Band, eta: float) -> None:
-    thr = _threshold(band)
-    if eta > 0.1 * thr:
-        warnings.warn(
-            f"eta={eta} exceeds 10% of the theorem threshold {thr}; "
-            "the band is drawn but no longer guaranteed",
-            stacklevel=3,
-        )
-
-
-def gd_bounds(env: BoundEnvelope, eta: float, T: int) -> tuple[float, float]:
-    """Descent-side band at step T >= anchor: flow band with e^(-c tau)
-    replaced by (1 - c eta)^(T - anchor), component by component.
-
-    T counts descent steps; env.anchor_time holds the anchor step for
-    re-anchored bands. Magnitude bands exist for m in {0, 1} only.
-    """
-    if eta <= 0:
-        raise DomainError("eta must be positive")
-    if T != int(T):
-        raise DomainError("T must be an integer step count")
-    steps = int(T) - int(env.anchor_time)
-    if steps < 0:
-        raise DomainError(f"T={T} precedes the envelope anchor {env.anchor_time}")
-    band = _band_forms(env)
-    _warn_eta(band, eta)
-    return _band_at(band, lambda c: (1.0 - c * eta) ** steps)
-
-
-def gd_envelope_curve(
-    env: BoundEnvelope, eta: float
-) -> Callable[[BoundEnvelope, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Adapter giving check_envelope a descent-side band at fixed eta."""
-
-    def curve(e: BoundEnvelope, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("once")
-            pairs = [gd_bounds(e, eta, int(t)) for t in times]
-        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
-
-    return curve
 
 
 def stopping_time(env: BoundEnvelope, eta: float, eps: float) -> int:

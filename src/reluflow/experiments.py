@@ -54,7 +54,6 @@ from .descent import (
     DescentConfig,
     eta_threshold,
     flow_forms_for,
-    gd_envelope_curve,
     gd_error_scaling,
     run_gd,
     stopping_time,
@@ -159,6 +158,10 @@ class RunConfig:
             raise ConfigError(
                 f"init_scale must be one of {sorted(_SCALE_RATIO)} or an explicit variance"
             )
+        for key in (*sorted(_FLOAT_KEYS), "init_scale"):
+            value = getattr(self, key)
+            if isinstance(value, (int, float)) and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
 
 
 def parse_config_file(path: str | Path) -> RunConfig:
@@ -444,7 +447,7 @@ def _band_checks(
     name: str,
     enforce: bool,
 ) -> tuple[dict, EnvelopeReport]:
-    rep = check_envelope(traj, env, 0.0, bounds_fn=gd_envelope_curve(env, eta))
+    rep = check_envelope(traj, env, 0.0, eta=eta)
     slack = _envelope_range_slack(rep.lowers, rep.uppers)
     ok = rep.worst_margin <= slack
     margin = slack - rep.worst_margin
@@ -534,7 +537,7 @@ def _run_reanchor(cfg: RunConfig) -> _Outcome:
     for anchor in anchors:
         idx = times_list.index(float(anchor))
         env = reanchored(base_env, traj, idx) if anchor else base_env
-        rep = check_envelope(traj, env, 0.0, bounds_fn=gd_envelope_curve(env, eta))
+        rep = check_envelope(traj, env, 0.0, eta=eta)
         slack = _envelope_range_slack(rep.lowers, rep.uppers)
         checks.append(
             _check(f"magnitude_envelope_anchor_{anchor}",
@@ -648,7 +651,7 @@ def _run_stopping_time(cfg: RunConfig) -> _Outcome:
     )
 
     outdir = _out_dir(cfg, f"m{m}", label)
-    rep = check_envelope(traj, env, 0.0, bounds_fn=gd_envelope_curve(env, eta))
+    rep = check_envelope(traj, env, 0.0, eta=eta)
     _write_run(outdir, traj, {"angle": rep}, "step")
     return outdir, checks
 

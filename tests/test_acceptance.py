@@ -26,7 +26,6 @@ from reluflow.descent import (
     DescentConfig,
     ExpFlowForm,
     eta_threshold,
-    gd_envelope_curve,
     gd_error_scaling,
     run_gd,
     stopping_time,
@@ -340,7 +339,7 @@ def test_criterion_07_descent_envelopes():
                       DescentConfig(eta=eta, steps=10_000, record_every=10))
         run_seconds = time.monotonic() - t0
         for env in (mag, ang):
-            rep = check_envelope(traj, env, 1e-4, bounds_fn=gd_envelope_curve(env, eta))
+            rep = check_envelope(traj, env, 1e-4, eta=eta)
             if not rep.passed:
                 ok = False
         if run_seconds >= 60.0:

@@ -5,15 +5,12 @@ import pytest
 
 from reluflow.bounds import (
     BoundEnvelope,
-    angle_bounds_multilayer,
-    angle_bounds_one_layer,
     check_envelope,
     convergence_horizon,
     envelope_curve,
     frozen_gap_magnitude_implicit,
     frozen_gap_magnitude_ode,
     magnitude_bounds_multilayer,
-    magnitude_bounds_one_layer,
     reanchored,
 )
 from reluflow.errors import DomainError
@@ -29,6 +26,12 @@ def ang_env(m, tnorm, phi0, v0, r, R, anchor=0.0):
     return BoundEnvelope("angle", m, tnorm, phi0, v0, r=r, R=R, anchor_time=anchor)
 
 
+def band_at(env, t):
+    """(lower, upper) at one flow time, from the one band evaluator."""
+    lo, up = envelope_curve(env, [t])
+    return float(lo[0]), float(up[0])
+
+
 # ----------------------------------------------------------------
 # envelope construction
 
@@ -42,6 +45,20 @@ def test_envelope_validation():
     with pytest.raises(DomainError):
         BoundEnvelope("magnitude", 1, 1.0, 1.0, 0.0)  # deep start at zero
     BoundEnvelope("magnitude", 0, 1.0, 1.0, 0.0)  # one-layer zero start is fine
+    # NaN fails every comparison, so each field must be checked positively
+    with pytest.raises(DomainError):
+        BoundEnvelope("magnitude", 0, math.nan, 1.0, 0.5)
+    with pytest.raises(DomainError):
+        BoundEnvelope("magnitude", 0, 1.0, 1.0, math.nan)
+    with pytest.raises(DomainError):
+        BoundEnvelope("magnitude", 0, 1.0, 1.0, 0.5, anchor_time=math.nan)
+    with pytest.raises(DomainError):
+        envelope_curve(mag_env(0, 1.0, 1.0, 0.5), [0.0, math.nan, 2.0])
+    # the pointwise implicit band is the m >= 2 magnitude band only
+    with pytest.raises(DomainError):
+        magnitude_bounds_multilayer(mag_env(1, 1.0, 1.0, 0.5), 1.0)
+    with pytest.raises(DomainError):
+        magnitude_bounds_multilayer(ang_env(2, 1.0, 1.0, 0.5, r=0.4, R=1.2), 1.0)
 
 
 def test_eps0_recomputed():
@@ -54,13 +71,13 @@ def test_eps0_recomputed():
 
 def test_one_layer_magnitude_collapses_at_zero():
     env = mag_env(0, 1.0, 1.2, 0.7)
-    lo, up = magnitude_bounds_one_layer(env, 0.0)
+    lo, up = band_at(env, 0.0)
     assert lo == up == pytest.approx(0.7)
 
 
 def test_one_layer_magnitude_limits():
     env = mag_env(0, 2.0, 1.2, 0.7)
-    lo, up = magnitude_bounds_one_layer(env, 400.0)
+    lo, up = band_at(env, 400.0)
     assert lo == pytest.approx((1.0 - env.eps0) * 2.0, rel=1e-12)
     assert up == pytest.approx(2.0, rel=1e-12)
 
@@ -68,21 +85,21 @@ def test_one_layer_magnitude_limits():
 def test_one_layer_magnitude_reference_value():
     # φ₀=π/2, v₀=0, v*=1, t=2: lower = (1/π)(1−e⁻¹)
     env = mag_env(0, 1.0, math.pi / 2, 0.0)
-    lo, _ = magnitude_bounds_one_layer(env, 2.0)
+    lo, _ = band_at(env, 2.0)
     assert lo == pytest.approx((1 / math.pi) * (1 - math.exp(-1)), rel=1e-14)
     assert lo == pytest.approx(0.20121022313515235, abs=1e-15)
 
 
 def test_one_layer_angle_at_zero():
     env = ang_env(0, 1.0, math.pi / 2, 0.5, r=0.5, R=1.0)
-    lo, up = angle_bounds_one_layer(env, 0.0)
+    lo, up = band_at(env, 0.0)
     assert lo == pytest.approx(math.pi - 2.0, rel=1e-12)
     assert up <= math.pi + 1e-15
 
 
 def test_one_layer_angle_limits():
     env = ang_env(0, 1.0, 2.0, 0.5, r=0.5, R=1.0)
-    lo, up = angle_bounds_one_layer(env, 500.0)
+    lo, up = band_at(env, 500.0)
     assert lo == pytest.approx(math.pi, abs=1e-9)
     assert up == pytest.approx(math.pi, abs=1e-12)
 
@@ -91,7 +108,7 @@ def test_one_layer_angle_small_norm_rate():
     # with R = v* the lower-band rate reduces to φ₀/(2π)
     phi0, vstar, t = 1.9, 1.3, 3.7
     env = ang_env(0, vstar, phi0, 0.1, r=0.4, R=vstar)
-    lo, _ = angle_bounds_one_layer(env, t)
+    lo, _ = band_at(env, t)
     want = math.pi - 2.0 / math.tan(phi0 / 2) * math.exp(-(phi0 / (2 * math.pi)) * t)
     assert lo == pytest.approx(want, rel=1e-12)
 
@@ -101,14 +118,14 @@ def test_one_layer_angle_small_norm_rate():
 
 def test_deep_magnitude_collapses_at_zero():
     env = mag_env(1, 1.0, 1.5, 0.4)
-    lo, up = magnitude_bounds_multilayer(env, 0.0)
+    lo, up = band_at(env, 0.0)
     assert lo == pytest.approx(0.4, rel=1e-12)
     assert up == pytest.approx(0.4, rel=1e-12)
 
 
 def test_deep_magnitude_limits_two_layer():
     env = mag_env(1, 1.0, 1.5, 0.4)
-    lo, up = magnitude_bounds_multilayer(env, 200.0)
+    lo, up = band_at(env, 200.0)
     assert lo == pytest.approx(math.sqrt(1.0 - env.eps0), rel=1e-9)
     assert up == pytest.approx(1.0, rel=1e-9)
 
@@ -131,6 +148,12 @@ def test_deep_magnitude_ode_stays_stable_on_stiff_start():
     via_ode = frozen_gap_magnitude_ode(2, vstar, 0.0, v0, 0.05, 1e-3)
     via_root = frozen_gap_magnitude_implicit(2, vstar, 0.0, v0, 0.05)
     assert via_ode == pytest.approx(via_root, rel=1e-9)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
+def test_deep_magnitude_ode_rejects_bad_step(dt):
+    with pytest.raises(DomainError):
+        frozen_gap_magnitude_ode(2, 1.0, 0.0, 0.5, 1.0, dt)
 
 
 def test_deep_magnitude_implicit_reaches_attractor():
@@ -171,7 +194,7 @@ def test_deep_magnitude_implicit_rejects_m1():
 
 def test_deep_angle_at_zero():
     env = ang_env(3, 1.0, math.pi / 2, 0.5, r=0.5, R=1.5)
-    lo, up = angle_bounds_multilayer(env, 0.0)
+    lo, up = band_at(env, 0.0)
     assert lo == pytest.approx(math.pi - 2.0, rel=1e-12)
     assert up <= math.pi + 1e-15
 
@@ -179,7 +202,7 @@ def test_deep_angle_at_zero():
 def test_deep_angle_m3_direct_formula():
     phi0, r, R, vstar, t = math.pi / 2, 0.5, 1.5, 1.0, 2.0
     env = ang_env(3, vstar, phi0, 0.7, r=r, R=R)
-    lo, up = angle_bounds_multilayer(env, t)
+    lo, up = band_at(env, t)
     cot = 1.0 / math.tan(phi0 / 2)
     lo_rate = (phi0 / (2 * math.pi)) * r ** 2 * vstar ** 4
     up_rate = 0.5 * R ** 2 * vstar ** 4
@@ -197,13 +220,13 @@ def test_deep_angle_m1_rates_lose_magnitude_dependence():
     phi0, vstar, t = 2.2, 1.1, 1.3
     a = ang_env(1, vstar, phi0, 0.6, r=0.2, R=3.0)
     b = ang_env(1, vstar, phi0, 0.6, r=0.9, R=1.2)
-    assert angle_bounds_multilayer(a, t) == angle_bounds_multilayer(b, t)
+    assert band_at(a, t) == band_at(b, t)
 
 
 def test_anchored_window_rejects_earlier_times():
     env = mag_env(0, 1.0, 1.2, 0.5, anchor=3.0)
     with pytest.raises(DomainError):
-        magnitude_bounds_one_layer(env, 2.0)
+        band_at(env, 2.0)
 
 
 # ----------------------------------------------------------------

@@ -11,8 +11,6 @@ from reluflow.descent import (
     ExpFlowForm,
     eta_threshold,
     flow_forms_for,
-    gd_bounds,
-    gd_envelope_curve,
     gd_error_scaling,
     gd_step,
     gf_to_gd,
@@ -34,6 +32,12 @@ def make_problem(m, d=5, vstar=1.0, v0=0.5, phi0=math.pi / 2, seed=0):
     w0 = v0 * (math.cos(theta0) * q[:, 0] + math.sin(theta0) * q[:, 1])
     cfg = NeuronConfig(d=d, m=m, target_w=target)
     return cfg, WeightState(w0, (v0,) * m)
+
+
+def band_at(env, T, eta):
+    """(lower, upper) at one descent step, from the one band evaluator."""
+    lo, up = envelope_curve(env, [T], eta)
+    return float(lo[0]), float(up[0])
 
 
 # ----------------------------------------------------------------
@@ -93,7 +97,7 @@ def test_one_layer_run_lands_in_certified_band():
     pol = polar_of(cfg, init)
     env = BoundEnvelope("angle", 0, 10.0, pol.angle, pol.magnitude,
                         r=pol.magnitude, R=10.0)
-    lo, up = gd_bounds(env, eta, steps)
+    lo, up = band_at(env, steps, eta)
     assert lo <= traj.angles[-1] <= up
     assert traj.losses[-1] < 1e-4 * traj.losses[0]
 
@@ -155,18 +159,21 @@ def test_two_layer_magnitude_bridge_identity():
     [("magnitude", 0), ("magnitude", 1), ("angle", 0), ("angle", 1), ("angle", 2), ("angle", 3)],
 )
 def test_angle_forms_sum_to_gd_bounds(kind, m):
+    """The scalar substitution of each table term, summed, checks the array
+    evaluator on a grid of steps."""
     bracket = {"r": 0.4, "R": 1.2} if kind == "angle" else {}
     env = BoundEnvelope(kind, m, 1.0, 1.9, 0.5, **bracket)
-    eta, T = 1e-3, 700
+    eta, steps = 1e-3, (0, 1, 700, 5000)
     forms = flow_forms_for(env)
-    lo, up = gd_bounds(env, eta, T)
-    assert gf_to_gd(forms["lower"], eta, T) == pytest.approx(lo, rel=1e-12)
-    upper_sum = gf_to_gd(forms["upper"], eta, T)
-    if kind == "angle":
-        upper_sum = min(math.pi, upper_sum + gf_to_gd(forms["upper_correction"], eta, T))
-    else:
+    lowers, uppers = envelope_curve(env, np.array(steps, dtype=float), eta)
+    if kind == "magnitude":
         assert set(forms) == {"lower", "upper"}
-    assert upper_sum == pytest.approx(up, rel=1e-12)
+    for i, T in enumerate(steps):
+        assert gf_to_gd(forms["lower"], eta, T) == pytest.approx(lowers[i], rel=1e-14)
+        upper_sum = gf_to_gd(forms["upper"], eta, T)
+        if kind == "angle":
+            upper_sum = min(math.pi, upper_sum + gf_to_gd(forms["upper_correction"], eta, T))
+        assert upper_sum == pytest.approx(uppers[i], rel=1e-14)
 
 
 def test_flow_forms_unavailable_for_deep_magnitude():
@@ -202,9 +209,9 @@ def test_error_scaling_logistic_flow_is_first_order():
 
 def test_gd_bounds_collapse_at_step_zero():
     menv = BoundEnvelope("magnitude", 1, 1.0, 2.0, 0.55)
-    assert gd_bounds(menv, 1e-3, 0) == pytest.approx((0.55, 0.55))
+    assert band_at(menv, 0, 1e-3) == pytest.approx((0.55, 0.55))
     aenv = BoundEnvelope("angle", 0, 1.0, 2.0, 0.55, r=0.5, R=1.1)
-    lo, up = gd_bounds(aenv, 1e-3, 0)
+    lo, up = band_at(aenv, 0, 1e-3)
     cot = 1.0 / math.tan(1.0)
     assert lo == pytest.approx(math.pi - 2 * cot, rel=1e-12)
     assert up <= math.pi
@@ -213,7 +220,7 @@ def test_gd_bounds_collapse_at_step_zero():
 def test_gd_bounds_one_layer_small_norm_lower():
     env = BoundEnvelope("magnitude", 0, 1.5, math.pi / 2, 0.0)
     eta, T = 1e-2, 400
-    lo, _ = gd_bounds(env, eta, T)
+    lo, _ = band_at(env, T, eta)
     want = (1 - env.eps0) * (1 - (1 - eta / 2) ** T) * 1.5
     assert lo == pytest.approx(want, rel=1e-13)
 
@@ -225,7 +232,7 @@ def test_gd_bounds_approach_flow_bounds(m, vstar):
     flow_lo, flow_up = envelope_curve(env, np.array([t]))
     diffs = []
     for eta in (1e-2, 1e-3):
-        lo, up = gd_bounds(env, eta, round(t / eta))
+        lo, up = band_at(env, round(t / eta), eta)
         diffs.append(max(abs(lo - flow_lo[0]), abs(up - flow_up[0])))
     assert diffs[0] < 0.1  # already close at the coarse step
     assert diffs[1] < 0.2 * diffs[0]  # and shrinking ~linearly in eta
@@ -274,9 +281,10 @@ def test_stopping_time_is_least_step_past_target(m, vstar, phi0, r, widen, eps, 
     env = BoundEnvelope("angle", m, vstar, phi0, 1.0, r=r, R=r + widen)
     eta = frac * 0.01 * eta_threshold(env)
     T = stopping_time(env, eta, eps)
-    assert gd_bounds(env, eta, T)[0] > math.pi - eps - 1e-12
+    lowers, _ = envelope_curve(env, [max(T - 1, 0), T], eta)
+    assert lowers[1] > math.pi - eps - 1e-12
     if T > 0:
-        assert gd_bounds(env, eta, T - 1)[0] <= math.pi - eps + 1e-12
+        assert lowers[0] <= math.pi - eps + 1e-12
 
 
 def test_stopping_time_guarantee_end_to_end():
@@ -289,14 +297,22 @@ def test_stopping_time_guarantee_end_to_end():
     assert traj.angles[-1] > math.pi - eps
 
 
-def test_gd_envelope_curve_matches_gd_bounds():
+def test_descent_band_guards():
     env = BoundEnvelope("angle", 1, 1.0, 2.0, 0.5, r=0.4, R=1.2)
-    eta = 1e-3
-    curve = gd_envelope_curve(env, eta)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lowers, uppers = curve(env, np.array([0.0, 100.0, 2500.0]))
-        for i, T in enumerate((0, 100, 2500)):
-            lo, up = gd_bounds(env, eta, T)
-            assert lowers[i] == pytest.approx(lo, rel=1e-12)
-            assert uppers[i] == pytest.approx(up, rel=1e-12)
+    steps = np.arange(0.0, 50.0)
+    for eta in (0.0, -1e-3):
+        with pytest.raises(DomainError):
+            envelope_curve(env, steps, eta)
+    with pytest.raises(DomainError):
+        envelope_curve(env, [0.0, 1.5, 3.0], 1e-3)  # not whole step counts
+    with pytest.raises(UnavailableError):
+        envelope_curve(BoundEnvelope("magnitude", 2, 1.0, 2.0, 0.5), steps, 1e-3)
+    thr = eta_threshold(env)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        envelope_curve(env, steps, 0.05 * thr)
+        assert not caught  # a twentieth of the threshold is still guaranteed
+        envelope_curve(env, steps, 0.2 * thr)
+        assert len(caught) == 1  # once per call, not once per step
+        envelope_curve(env, steps, 0.2 * thr)
+        assert len(caught) == 2

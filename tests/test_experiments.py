@@ -212,6 +212,20 @@ def test_cli_numerical_failure_exits_three(tmp_path, capsys, text):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "experiment = flow\nm = 1\nt_end = inf\n",
+        "experiment = figure-angle\nm = 0\ninit_scale = small\neta = nan\nsteps = 20\n",
+    ],
+    ids=["flow-t_end-inf", "figure-angle-eta-nan"],
+)
+def test_cli_non_finite_value_exits_two(tmp_path, capsys, text):
+    p = write_cfg(tmp_path, text)
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_cli_run_and_seed_override(tmp_path, capsys):
     p = write_cfg(tmp_path, "experiment = flow\nm = 0\nd = 5\nt_end = 1.0\n")
     code = main(["run", "--config", str(p), "--seed", "4", "--out", str(tmp_path / "o")])
