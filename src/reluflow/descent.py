@@ -21,7 +21,12 @@ too-large step still wants its band drawn, it just loses the guarantee).
 
 `run_gd` trains the deep single-ReLU-neuron model itself, either on the
 population gradient (exact closed form) or on a fixed dataset drawn once
-(full-batch, realizable labels from the teacher).
+(full-batch, realizable labels from the teacher). The teacher's labels on
+that dataset never change, so `run_gd` computes them once per run and steps
+the raw (w, hidden) pair; one private kernel, which takes the labels, is the
+sample gradient of both `gd_step` and `run_gd`, and one update rule applies
+it. `gd_step` still validates its inputs on every call; `run_gd` validates
+once and builds a `WeightState` only at the steps it records.
 """
 from __future__ import annotations
 
@@ -39,6 +44,7 @@ from .population import (
     NeuronConfig,
     PolarState,
     WeightState,
+    _check_state,
     polar_of,
     population_gradient,
     population_loss,
@@ -63,16 +69,25 @@ class DescentConfig:
     record_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.eta <= 0:
-            raise DomainError("eta must be positive")
-        if self.steps < 0:
-            raise DomainError("steps must be non-negative")
+        _check_eta(self.eta)
+        if not (_is_count(self.steps) and self.steps >= 0):
+            raise DomainError(f"steps must be a non-negative integer, got {self.steps!r}")
         if self.mode not in ("population", "empirical"):
             raise DomainError(f"unknown mode {self.mode!r}")
-        if self.mode == "empirical" and self.n_samples < 1:
-            raise DomainError("empirical mode needs n_samples >= 1")
-        if self.record_every < 1:
-            raise DomainError("record_every must be >= 1")
+        if self.mode == "empirical" and not (_is_count(self.n_samples) and self.n_samples >= 1):
+            raise DomainError("empirical mode needs an integer n_samples >= 1")
+        if not (_is_count(self.record_every) and self.record_every >= 1):
+            raise DomainError("record_every must be an integer >= 1")
+
+
+def _is_count(value: object) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_eta(eta: float) -> None:
+    # Stated positively: NaN fails every comparison.
+    if not 0.0 < eta < math.inf:
+        raise DomainError(f"eta must be positive and finite, got {eta}")
 
 
 @dataclass(frozen=True)
@@ -109,40 +124,57 @@ def gd_step(
     Raises DivergenceError if a hidden scalar is driven to or below zero
     (outside the sign-preserving regime every guarantee lives in).
     """
-    if eta <= 0:
-        raise DomainError("eta must be positive")
+    _check_eta(eta)
     if batch is None:
         grad_w, grad_hidden = population_gradient(config, state)
     else:
         batch = np.asarray(batch, dtype=float)
         if batch.ndim != 2 or batch.shape[1] != config.d:
             raise DomainError(f"batch must have shape (n, {config.d})")
-        grad_w, grad_hidden = _sample_gradient(config, state, batch)
-    new_w = state.w - eta * grad_w
-    new_hidden = tuple(v - eta * g for v, g in zip(state.hidden, grad_hidden))
-    if any(v <= 0.0 for v in new_hidden):
-        raise DivergenceError("a hidden scalar was driven to or below zero")
-    return WeightState(new_w, new_hidden)
+        _check_state(config, state)
+        if not all(v > 0.0 for v in state.hidden):
+            raise DomainError("hidden scalars must be positive")
+        grad_w, grad_hidden = _sample_gradient(
+            state.w, state.hidden, batch, _teacher_labels(config, batch)
+        )
+    return WeightState(*_descend(state.w, state.hidden, eta, grad_w, grad_hidden))
+
+
+def _teacher_labels(config: NeuronConfig, batch: np.ndarray) -> np.ndarray:
+    return config.target_product * np.maximum(batch @ config.target_w, 0.0)
 
 
 def _sample_gradient(
-    config: NeuronConfig, state: WeightState, batch: np.ndarray
+    w: np.ndarray, hidden: tuple[float, ...], batch: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    if any(v <= 0.0 for v in state.hidden):
-        raise DomainError("hidden scalars must be positive")
+    """Full-batch gradient of the squared error against fixed labels; the
+    caller has checked the batch's shape and the hidden scalars' signs."""
     n = batch.shape[0]
-    p = state.product
-    p_star = config.target_product
-    pre = batch @ state.w
+    p = math.prod(hidden) if hidden else 1.0
+    pre = batch @ w
     ind = pre > 0.0
     act = np.where(ind, pre, 0.0)
-    e = p * act - p_star * np.maximum(batch @ config.target_w, 0.0)
+    e = p * act - labels
     grad_w = (p / n) * (batch.T @ (e * ind))
-    if config.m == 0:
+    if not hidden:
         return grad_w, np.zeros(0)
     shared = float(e @ act) / n
-    grad_hidden = np.array([(p / v) * shared for v in state.hidden])
+    grad_hidden = np.array([(p / v) * shared for v in hidden])
     return grad_w, grad_hidden
+
+
+def _descend(
+    w: np.ndarray,
+    hidden: tuple[float, ...],
+    eta: float,
+    grad_w: np.ndarray,
+    grad_hidden: np.ndarray,
+) -> tuple[np.ndarray, tuple[float, ...]]:
+    new_w = w - eta * grad_w
+    new_hidden = tuple(v - eta * g for v, g in zip(hidden, grad_hidden))
+    if not all(v > 0.0 for v in new_hidden):
+        raise DivergenceError("a hidden scalar was driven to or below zero")
+    return new_w, new_hidden
 
 
 def run_gd(config: NeuronConfig, init: WeightState, dc: DescentConfig) -> Trajectory:
@@ -150,25 +182,36 @@ def run_gd(config: NeuronConfig, init: WeightState, dc: DescentConfig) -> Trajec
     exact population loss at step 0, every record_every-th step, and the end.
 
     Trajectory times are step indices. Empirical mode draws its dataset once
-    from dc.seed (labels from the teacher) and never resamples.
+    from dc.seed, computes the teacher's labels on it once, and never
+    resamples; its steps go through the same sample-gradient kernel and
+    update as `gd_step`, so a fold of `gd_step` over the same inputs records
+    the same states bit for bit. Raises DivergenceError when a hidden scalar
+    reaches zero or the weight norm is not finite or exceeds 1e12.
     """
     population_gradient(config, init)  # validates shapes/positivity once
-    batch = None
     if dc.mode == "empirical":
         rng = np.random.default_rng(np.random.SeedSequence(dc.seed))
         batch = rng.standard_normal((dc.n_samples, config.d))
+        labels = _teacher_labels(config, batch)
 
-    state = init
+        def gradient(w, hidden):
+            return _sample_gradient(w, hidden, batch, labels)
+    else:
+        def gradient(w, hidden):
+            return population_gradient(config, WeightState(w, hidden))
+
+    w, hidden = init.w, init.hidden
     times = [0.0]
     states = [polar_of(config, init)]
     losses = [population_loss(config, init)]
     wstates = [init]
     for k in range(dc.steps):
-        state = gd_step(config, state, dc.eta, batch)
-        norm = float(np.linalg.norm(state.w))
+        w, hidden = _descend(w, hidden, dc.eta, *gradient(w, hidden))
+        norm = math.sqrt(w @ w)
         if not math.isfinite(norm) or norm > _BLOWUP:
             raise DivergenceError(f"weight norm {norm} blew up at step {k + 1}")
         if (k + 1) % dc.record_every == 0 or k + 1 == dc.steps:
+            state = WeightState(w, hidden)
             times.append(float(k + 1))
             states.append(polar_of(config, state))
             losses.append(population_loss(config, state))
@@ -184,8 +227,7 @@ def gf_to_gd(form: ExpFlowForm, eta: float, T: int) -> float:
     eta = 0.1/c where the substitution stops being meaningful; warns above
     0.01/c where the first-order error is no longer comfortably small.
     """
-    if eta <= 0:
-        raise DomainError("eta must be positive")
+    _check_eta(eta)
     if T < 0 or T != int(T):
         raise DomainError("T must be a non-negative integer")
     if eta * form.c > 0.1:
@@ -276,8 +318,7 @@ def stopping_time(env: BoundEnvelope, eta: float, eps: float) -> int:
         raise DomainError("stopping times come from angle envelopes")
     if eps <= 0:
         raise DomainError("eps must be positive")
-    if eta <= 0:
-        raise DomainError("eta must be positive")
+    _check_eta(eta)
     rate = _band_forms(env).lower[0].c
     thr = 1.0 / rate
     if eta >= 0.1 * thr:

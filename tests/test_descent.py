@@ -17,7 +17,7 @@ from reluflow.descent import (
     run_gd,
     stopping_time,
 )
-from reluflow.errors import DivergenceError, DomainError, UnavailableError
+from reluflow.errors import DimensionError, DivergenceError, DomainError, UnavailableError
 from reluflow.flow import epsilon_gap
 from reluflow.montecarlo import mc_population_gradient
 from reluflow.population import NeuronConfig, WeightState, polar_of
@@ -82,6 +82,84 @@ def test_divergence_raises():
     cfg, init = make_problem(1, v0=0.5)
     with pytest.raises(DivergenceError):
         run_gd(cfg, init, DescentConfig(eta=50.0, steps=100))
+
+
+def test_empirical_divergence_norm_blowup():
+    # m = 0 has no hidden scalar, so only the norm guard can fire
+    cfg, init = make_problem(0, v0=0.5)
+    dc = DescentConfig(eta=50.0, steps=100, mode="empirical", n_samples=200, seed=1)
+    with pytest.raises(DivergenceError, match="blew up"):
+        run_gd(cfg, init, dc)
+
+
+def test_empirical_divergence_hidden_scalar_sign():
+    # w three times the teacher with v = 1: the first step's hidden gradient
+    # is about 3, so eta = 0.5 drives v below zero while the norm stays small
+    cfg, _ = make_problem(1)
+    init = WeightState(3.0 * cfg.target_w, (1.0,))
+    dc = DescentConfig(eta=0.5, steps=10, mode="empirical", n_samples=500, seed=1)
+    with pytest.raises(DivergenceError, match="hidden scalar"):
+        run_gd(cfg, init, dc)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("eta", math.nan), ("eta", math.inf), ("steps", 2.5), ("record_every", 1.5),
+     ("n_samples", 2.5)],
+)
+def test_descent_config_rejects_non_finite_and_fractional(field, value):
+    kwargs = {"eta": 1e-3, "steps": 10, "mode": "empirical", "n_samples": 20, field: value}
+    with pytest.raises(DomainError):
+        DescentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf])
+@pytest.mark.parametrize("batched", [False, True], ids=["population", "empirical"])
+def test_gd_step_rejects_non_finite_eta(eta, batched):
+    cfg, init = make_problem(1)
+    batch = np.random.default_rng(0).standard_normal((50, cfg.d)) if batched else None
+    with pytest.raises(DomainError):
+        gd_step(cfg, init, eta, batch)
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["population", "empirical"])
+def test_gd_step_rejects_state_of_another_depth(batched):
+    cfg, init = make_problem(0)
+    batch = np.random.default_rng(0).standard_normal((50, cfg.d)) if batched else None
+    with pytest.raises(DimensionError):
+        gd_step(cfg, WeightState(init.w, (0.7, 0.9)), 1e-2, batch)
+
+
+def test_bridge_rejects_non_finite_eta():
+    env = BoundEnvelope("angle", 1, 1.0, 2.0, 0.5, r=0.4, R=1.2)
+    form = flow_forms_for(env)["lower"]
+    for eta in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            gf_to_gd(form, eta, 10)
+        with pytest.raises(DomainError):
+            stopping_time(env, eta, 1e-2)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_empirical_run_equals_a_fold_of_gd_step(m):
+    """run_gd's empirical loop (labels computed once, raw state) records
+    exactly the states a fold of the public gd_step gives on the same data."""
+    cfg, init = make_problem(m, d=6, v0=0.8, phi0=2.0, seed=m)
+    dc = DescentConfig(eta=0.02, steps=300, mode="empirical", n_samples=500,
+                       seed=11, record_every=40)
+    traj = run_gd(cfg, init, dc)
+    rng = np.random.default_rng(np.random.SeedSequence(dc.seed))
+    batch = rng.standard_normal((dc.n_samples, cfg.d))
+    state, want = init, [init]
+    for k in range(1, dc.steps + 1):
+        state = gd_step(cfg, state, dc.eta, batch)
+        if k % dc.record_every == 0 or k == dc.steps:
+            want.append(state)
+    assert len(traj.weight_states) == len(want) == 9
+    assert not np.array_equal(want[-1].w, init.w)
+    for got, ref in zip(traj.weight_states, want):
+        assert np.array_equal(got.w, ref.w)
+        assert got.hidden == ref.hidden
 
 
 # ----------------------------------------------------------------
