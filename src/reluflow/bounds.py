@@ -65,6 +65,9 @@ _SWEEP_DT = 1e-3
 _NEWTON_TOL = 1e-14
 _NEWTON_MAX = 50
 _ROUNDING = 16 * 2.0**-52
+# How close to its limit `convergence_horizon` certifies the flow.
+_HORIZON_ANGLE_TOL = 1e-3
+_HORIZON_MAG_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -480,10 +483,9 @@ def convergence_horizon(
     target_norm: float,
     v0: float,
     phi0: float,
-    angle_tol: float = 1e-3,
-    mag_tol: float = 1e-3,
 ) -> float:
-    """A time by which the flow provably sits within tolerance of its limit.
+    """A time by which the flow provably sits within 1e-3 of its limit, in
+    angle and in magnitude.
 
     Built from the guaranteed worst-case constants: the angle lower band's
     rate c_low at the guaranteed magnitude bracket r = min(v0, attractor(eps0)),
@@ -491,17 +493,16 @@ def convergence_horizon(
     slowest local rate, with a 30% safety factor. Deliberately conservative,
     never tuned per run.
     """
-    if angle_tol <= 0 or mag_tol <= 0:
-        raise DomainError("tolerances must be positive")
     eps0 = epsilon_gap(phi0)
     attractor = target_norm * (1.0 - eps0) ** (1.0 / (m + 1))
     r = min(v0, attractor)
     env = BoundEnvelope("angle", m, target_norm, phi0, v0, r=r, R=max(v0, target_norm))
     angle_rate = _band_forms(env).lower[0].c
     cot = 1.0 / math.tan(phi0 / 2.0)
-    ratio = 2.0 * cot / (0.5 * angle_tol)
+    ratio = 2.0 * cot / (0.5 * _HORIZON_ANGLE_TOL)
     t_angle = math.log(ratio) / angle_rate if ratio > 1.0 else 0.0
     settle_rate = 0.5 * (m + 1) * min(r, target_norm) ** (2 * m)
     gap = max(abs(v0 - target_norm), target_norm)
-    t_mag = math.log(gap / (0.5 * mag_tol)) / settle_rate if gap > 0.5 * mag_tol else 0.0
+    half_tol = 0.5 * _HORIZON_MAG_TOL
+    t_mag = math.log(gap / half_tol) / settle_rate if gap > half_tol else 0.0
     return 1.3 * (t_angle + t_mag) + 1.0

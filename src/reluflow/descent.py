@@ -21,12 +21,14 @@ too-large step still wants its band drawn, it just loses the guarantee).
 
 `run_gd` trains the deep single-ReLU-neuron model itself, either on the
 population gradient (exact closed form) or on a fixed dataset drawn once
-(full-batch, realizable labels from the teacher). The teacher's labels on
-that dataset never change, so `run_gd` computes them once per run and steps
-the raw (w, hidden) pair; one private kernel, which takes the labels, is the
-sample gradient of both `gd_step` and `run_gd`, and one update rule applies
-it. `gd_step` still validates its inputs on every call; `run_gd` validates
-once and builds a `WeightState` only at the steps it records.
+(full-batch, realizable labels from the teacher). In both modes `run_gd`
+steps the raw (w, hidden) pair: the population gradient through the
+population module's unchecked kernel, the sample gradient through one
+private kernel that takes the labels, which never change, so `run_gd`
+computes them once per run. `gd_step` runs the same kernels and one update
+rule applies them. `gd_step` still validates its inputs on every call;
+`run_gd` validates once and builds a `WeightState` only at the steps it
+records.
 """
 from __future__ import annotations
 
@@ -39,18 +41,16 @@ import numpy as np
 
 from .bounds import BoundEnvelope, _band_forms, _threshold
 from .errors import DivergenceError, DomainError
-from .flow import Trajectory, epsilon_gap
+from .flow import _BLOWUP, Trajectory, _is_count, epsilon_gap
 from .population import (
     NeuronConfig,
-    PolarState,
     WeightState,
     _check_state,
+    _gradient,
     polar_of,
     population_gradient,
     population_loss,
 )
-
-_BLOWUP = 1e12
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,6 @@ class DescentConfig:
             raise DomainError("record_every must be an integer >= 1")
 
 
-def _is_count(value: object) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _check_eta(eta: float) -> None:
     # Stated positively: NaN fails every comparison.
     if not 0.0 < eta < math.inf:
@@ -95,13 +91,11 @@ class ExpFlowForm:
     """A flow solution in exponential-substitution form, w(t) = g(e^(-c t)).
 
     g must be injective on [0, 1]; that is spot-checked on a thousand-point
-    grid at construction. g_prime, when supplied, is the derivative of g
-    (available to error analyses; not required by the substitution itself).
+    grid at construction.
     """
 
     c: float
     g: Callable[[float], float]
-    g_prime: Callable[[float], float] | None = None
 
     def __post_init__(self) -> None:
         if self.c <= 0:
@@ -171,7 +165,7 @@ def _descend(
     grad_hidden: np.ndarray,
 ) -> tuple[np.ndarray, tuple[float, ...]]:
     new_w = w - eta * grad_w
-    new_hidden = tuple(v - eta * g for v, g in zip(hidden, grad_hidden))
+    new_hidden = tuple(v - eta * g for v, g in zip(hidden, grad_hidden.tolist()))
     if not all(v > 0.0 for v in new_hidden):
         raise DivergenceError("a hidden scalar was driven to or below zero")
     return new_w, new_hidden
@@ -183,7 +177,7 @@ def run_gd(config: NeuronConfig, init: WeightState, dc: DescentConfig) -> Trajec
 
     Trajectory times are step indices. Empirical mode draws its dataset once
     from dc.seed, computes the teacher's labels on it once, and never
-    resamples; its steps go through the same sample-gradient kernel and
+    resamples. Either mode's steps go through the same gradient kernel and
     update as `gd_step`, so a fold of `gd_step` over the same inputs records
     the same states bit for bit. Raises DivergenceError when a hidden scalar
     reaches zero or the weight norm is not finite or exceeds 1e12.
@@ -198,7 +192,7 @@ def run_gd(config: NeuronConfig, init: WeightState, dc: DescentConfig) -> Trajec
             return _sample_gradient(w, hidden, batch, labels)
     else:
         def gradient(w, hidden):
-            return population_gradient(config, WeightState(w, hidden))
+            return _gradient(config, w, hidden)
 
     w, hidden = init.w, init.hidden
     times = [0.0]
@@ -237,10 +231,7 @@ def gf_to_gd(form: ExpFlowForm, eta: float, T: int) -> float:
             f"eta={eta} above 1% of the rate threshold; first-order accuracy degrades",
             stacklevel=2,
         )
-    base = 1.0 - form.c * eta
-    if base <= 0.0:
-        raise DomainError("step size makes the decay factor non-positive")
-    return form.g(base ** int(T))
+    return form.g((1.0 - form.c * eta) ** int(T))
 
 
 def gd_error_scaling(

@@ -59,7 +59,7 @@ from .descent import (
     stopping_time,
 )
 from .errors import ConfigError, DegenerateAngleError, DivergenceError
-from .flow import FlowSpec, Trajectory, integrate_polar
+from .flow import _BLOWUP, FlowSpec, Trajectory, integrate_polar
 from .montecarlo import (
     angle_concentration,
     mc_double_wedge_moment,
@@ -752,7 +752,7 @@ def _run_deep_general(cfg: RunConfig) -> _Outcome:
             w -= eta * g
         if (step + 1) % record_every == 0 or step + 1 == steps:
             nrm = theta_norm()
-            if not math.isfinite(nrm) or nrm > 1e12:
+            if not math.isfinite(nrm) or nrm > _BLOWUP:
                 raise DivergenceError(f"deep run blew up at step {step + 1}")
             times.append(float(step + 1))
             norms.append(nrm)

@@ -14,9 +14,15 @@ v -> vstar.
 
 The driving factor (sin phi - phi cos phi)/pi increases from 0 at phi = 0 to
 1 at phi = pi; its shortfall from 1 is `epsilon_gap`, the quantity every
-envelope in the bounds module is anchored on. Near phi = pi both the factor
-and the right-hand sides are evaluated through series in (pi - phi) to keep
-relative accuracy once sin(phi) underflows toward the rounding floor.
+envelope in the bounds module is anchored on. Near phi = pi the reduced flow
+evaluates the factor and its right-hand sides through series in (pi - phi),
+which keep relative accuracy once sin(phi) underflows toward the rounding
+floor; the reduced flow carries phi itself, so that accuracy is there to keep.
+
+The full-space flow integrates -`population_gradient` as written, through
+the population module's unchecked kernel, with no series of its own: its
+phi comes from acos(cos theta), which near alignment is good to only about
+1e-8 absolute, so a series could not restore accuracy that phi does not have.
 
 Integration is classic fixed-step fourth-order Runge-Kutta: the step-halving
 order checks in the test suite and the tight envelope tolerances rely on a
@@ -34,12 +40,15 @@ from .population import (
     NeuronConfig,
     PolarState,
     WeightState,
+    _gradient,
+    polar_of,
     population_gradient,
     population_loss,
     relu_product_moment,
 )
 
-# Magnitudes beyond this are treated as a blown-up integration.
+# Weight norms and magnitudes beyond this are treated as a blown-up run, by
+# the flows here and by descent.
 _BLOWUP = 1e12
 # Within this distance of pi the angle is declared converged and frozen.
 _FREEZE_GAP = 1e-12
@@ -53,6 +62,23 @@ def _sin_cos_from_gap(delta: float) -> tuple[float, float]:
     sin_phi = delta * (1.0 + d2 * (-1.0 / 6 + d2 * (1.0 / 120 + d2 * (-1.0 / 5040 + d2 / 362880))))
     cos_d = 1.0 + d2 * (-0.5 + d2 * (1.0 / 24 + d2 * (-1.0 / 720 + d2 / 40320)))
     return sin_phi, -cos_d
+
+
+def _is_count(value: object) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_sample_every(sample_every: int) -> None:
+    if not (_is_count(sample_every) and sample_every >= 1):
+        raise DomainError(f"sample_every must be an integer >= 1, got {sample_every!r}")
+
+
+def _check_horizon(dt: float, t_end: float) -> None:
+    # Stated positively: NaN fails every comparison, and an infinite
+    # t_end / dt has no step count.
+    if not (0.0 < dt <= t_end and t_end / dt < math.inf):
+        raise DomainError(f"need 0 < dt <= t_end and a finite t_end / dt, "
+                          f"got dt={dt}, t_end={t_end}")
 
 
 def epsilon_gap(phi: float) -> float:
@@ -123,8 +149,7 @@ class FlowSpec:
             raise DomainError("initial magnitude must be positive")
         if not 0.0 < self.initial.angle < math.pi:
             raise DomainError("initial angle must lie strictly inside (0, pi)")
-        if not 0.0 < self.dt <= self.t_end:
-            raise DomainError(f"need 0 < dt <= t_end, got dt={self.dt}, t_end={self.t_end}")
+        _check_horizon(self.dt, self.t_end)
 
 
 @dataclass(frozen=True)
@@ -204,8 +229,7 @@ def integrate_polar(spec: FlowSpec, sample_every: int = 1) -> Trajectory:
     step. Once the angle comes within 1e-12 of pi it is frozen (converged)
     while the magnitude keeps evolving.
     """
-    if sample_every < 1:
-        raise DomainError("sample_every must be >= 1")
+    _check_sample_every(sample_every)
     m, tn = spec.m, spec.target_norm
     n_steps = max(1, round(spec.t_end / spec.dt))
     h = spec.t_end / n_steps
@@ -255,72 +279,46 @@ def integrate_vector(
     each sample.
     Works for arbitrary (not necessarily balanced) positive hidden scalars.
     """
-    if sample_every < 1:
-        raise DomainError("sample_every must be >= 1")
-    if not 0.0 < dt <= t_end:
-        raise DomainError(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
+    _check_sample_every(sample_every)
+    _check_horizon(dt, t_end)
     # Validate the initial state through the checked ops once.
     population_gradient(config, init)
 
-    d, m = config.d, config.m
-    tw = config.target_w
-    t_norm = config.target_norm
-    p_star = config.target_product
-    two_pi = 2.0 * math.pi
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        w = y[:d]
-        hidden = y[d:]
-        norm = math.sqrt(float(w @ w))
-        p = float(np.prod(hidden)) if m else 1.0
-        cos_t = max(-1.0, min(1.0, float(w @ tw) / (norm * t_norm)))
-        phi = math.pi - math.acos(cos_t)
-        delta = math.pi - phi
-        if abs(delta) < _SERIES_GAP:
-            sin_phi, cos_phi = _sin_cos_from_gap(delta)
-        else:
-            sin_phi, cos_phi = math.sin(phi), math.cos(phi)
-        out = np.empty_like(y)
-        coef_w = 0.5 * p * p - p * p_star * (sin_phi / two_pi) * (t_norm / norm)
-        np.multiply(w, -coef_w, out=out[:d])
-        out[:d] += (p * p_star * phi / two_pi) * tw
-        if m:
-            shared = 0.5 * p * norm * norm - p_star * norm * t_norm * (
-                (sin_phi - phi * cos_phi) / two_pi
-            )
-            np.divide(-p * shared, hidden, out=out[d:])
-        return out
-
+    d = config.d
     y = np.concatenate([init.w, np.array(init.hidden, dtype=float)])
     n_steps = max(1, round(t_end / dt))
     h = t_end / n_steps
+    slopes = np.empty((4, len(y)))
 
-    def snapshot(t: float) -> tuple[PolarState, float, WeightState]:
+    def grad(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        out[:d], out[d:] = _gradient(config, y[:d], y[d:].tolist())
+        return out
+
+    def snapshot() -> tuple[PolarState, float, WeightState]:
         state = WeightState(y[:d].copy(), tuple(y[d:]))
-        norm = float(np.linalg.norm(state.w))
-        cos_t = max(-1.0, min(1.0, float(state.w @ tw) / (norm * t_norm)))
-        polar = PolarState(norm, math.pi - math.acos(cos_t))
-        return polar, population_loss(config, state), state
+        return polar_of(config, state), population_loss(config, state), state
 
     times = [0.0]
-    polar0, loss0, w0 = snapshot(0.0)
+    polar0, loss0, w0 = snapshot()
     states = [polar0]
     losses = [loss0]
     weights = [w0]
 
+    # RK4 on y' = -grad, with the minus sign carried into each update: IEEE
+    # negation is exact, so this is RK4 on vector_rhs bit for bit.
     for k in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + (0.5 * h) * k1)
-        k3 = rhs(y + (0.5 * h) * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        g1 = grad(y, slopes[0])
+        g2 = grad(y - (0.5 * h) * g1, slopes[1])
+        g3 = grad(y - (0.5 * h) * g2, slopes[2])
+        g4 = grad(y - h * g3, slopes[3])
+        y = y - (h / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
         t = (k + 1) * h
         if not np.all(np.isfinite(y)) or float(np.linalg.norm(y[:d])) > _BLOWUP:
             raise DivergenceError(f"full flow blew up at t={t}")
-        if m and np.any(y[d:] <= 0.0):
+        if config.m and np.any(y[d:] <= 0.0):
             raise DivergenceError(f"a hidden scalar crossed zero at t={t}")
         if (k + 1) % sample_every == 0 or k + 1 == n_steps:
-            polar, loss, wstate = snapshot(t)
+            polar, loss, wstate = snapshot()
             times.append(t)
             states.append(polar)
             losses.append(loss)

@@ -6,13 +6,20 @@ The predictor is x -> v_1 ... v_m * relu(w . x): one ReLU neuron with weight
 vector w in R^d followed by m scalar layers ("hidden scalars"). Inputs are
 standard Gaussian, x ~ N(0, I_d). Labels come from a planted teacher of the
 same shape with weight vector target_w and all hidden scalars equal to
-target_v (a balanced teacher), so the teacher's scalar product is target_v^m.
+||target_w|| (a balanced teacher), so the teacher's scalar product is
+||target_w||^m.
 
 The population loss is the expected squared error
-    L = (1/2) E_x (v_1...v_m relu(w.x) - target_v^m relu(target_w.x))^2,
+    L = (1/2) E_x (v_1...v_m relu(w.x) - ||target_w||^m relu(target_w.x))^2,
 which reduces to a closed form in ||w||, the hidden scalars, and the angle
 between w and target_w. Everything in this module is that closed form and its
 exact gradient; no sampling happens here.
+
+The gradient lives in one unchecked kernel, `_gradient(config, w, hidden)`,
+and the norm and angles of w in one helper, `_angles`. `population_gradient`
+is its checks plus that kernel; the full-space flow and population descent
+step the raw (w, hidden) pair through the kernel, and `polar_of` and
+`population_loss` read their coordinates from `_angles`.
 
 Two angle variables appear throughout the package:
 
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -45,15 +53,16 @@ _SIN_FLOOR = 1e-10
 class NeuronConfig:
     """Problem instance: dimensions, depth, and the planted teacher.
 
-    target_v is the common value of the teacher's hidden scalars; for a
-    balanced teacher it must equal ||target_w||. With m = 0 there are no
-    hidden scalars and target_v is conventionally ||target_w||.
+    The teacher is balanced: each of its m hidden scalars equals
+    target_norm = ||target_w||, so their product is target_norm^m. Both are
+    computed once, at construction.
     """
 
     d: int
     m: int
     target_w: np.ndarray
-    target_v: float | None = None
+    target_norm: float = field(init=False)
+    target_product: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -67,27 +76,8 @@ class NeuronConfig:
         if norm < _NORM_FLOOR:
             raise ZeroVectorError("target_w must be nonzero")
         object.__setattr__(self, "target_w", w)
-        tv = self.target_v
-        if tv is None:
-            tv = norm
-        tv = float(tv)
-        if tv <= 0:
-            raise DomainError(f"target_v={tv} must be positive")
-        if self.m >= 1 and not math.isclose(tv, norm, rel_tol=1e-9, abs_tol=0.0):
-            raise DomainError(
-                f"balanced teacher requires target_v == ||target_w|| "
-                f"({tv} vs {norm})"
-            )
-        object.__setattr__(self, "target_v", tv)
-
-    @property
-    def target_norm(self) -> float:
-        return float(np.linalg.norm(self.target_w))
-
-    @property
-    def target_product(self) -> float:
-        """Product of the teacher's hidden scalars, target_v^m."""
-        return float(self.target_v) ** self.m
+        object.__setattr__(self, "target_norm", norm)
+        object.__setattr__(self, "target_product", norm**self.m)
 
 
 @dataclass(frozen=True)
@@ -185,12 +175,13 @@ def relu_product_moment(theta: float) -> float:
     )
 
 
-def _angles(config: NeuronConfig, state: WeightState) -> tuple[float, float, float]:
-    """Return (norm of w, theta, phi) for a state, or raise on zero w."""
-    norm = float(np.linalg.norm(state.w))
+def _angles(config: NeuronConfig, w: np.ndarray) -> tuple[float, float, float]:
+    """Return (norm of w, theta, phi), or raise on zero w."""
+    # w.dot(w) is the sum np.linalg.norm takes; min/max clip and keep NaN.
+    norm = math.sqrt(float(w.dot(w)))
     if norm < _NORM_FLOOR:
         raise ZeroVectorError("state weight vector has zero norm")
-    cos_t = float(np.clip((state.w @ config.target_w) / (norm * config.target_norm), -1.0, 1.0))
+    cos_t = min(max(float(w.dot(config.target_w)) / (norm * config.target_norm), -1.0), 1.0)
     theta = math.acos(cos_t)
     return norm, theta, math.pi - theta
 
@@ -215,7 +206,7 @@ def population_loss(config: NeuronConfig, state: WeightState) -> float:
     teacher's function (w aligned with w*, P ||w|| = P* ||w*||).
     """
     _check_state(config, state)
-    norm, theta, _ = _angles(config, state)
+    norm, theta, _ = _angles(config, state.w)
     p = state.product
     p_star = config.target_product
     t_norm = config.target_norm
@@ -244,18 +235,26 @@ def population_gradient(
     which holds along both flow and small-step descent).
     """
     _check_state(config, state)
-    if any(v <= 0.0 for v in state.hidden):
+    if not all(v > 0.0 for v in state.hidden):
         raise DomainError(f"hidden scalars must be positive, got {state.hidden}")
-    norm, _, phi = _angles(config, state)
-    p = state.product
+    return _gradient(config, state.w, state.hidden)
+
+
+def _gradient(
+    config: NeuronConfig, w: np.ndarray, hidden: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """population_gradient without its checks: the caller has checked the
+    shapes of w and hidden and the signs of the hidden scalars."""
+    norm, _, phi = _angles(config, w)
+    p = math.prod(hidden, start=1.0)
     p_star = config.target_product
     t_norm = config.target_norm
     sin_phi = math.sin(phi)
     cos_phi = math.cos(phi)
 
-    grad_w = 0.5 * p * p * state.w - p * p_star * (
+    grad_w = 0.5 * p * p * w - p * p_star * (
         (phi / (2.0 * math.pi)) * config.target_w
-        + (sin_phi / (2.0 * math.pi)) * (t_norm / norm) * state.w
+        + (sin_phi / (2.0 * math.pi)) * (t_norm / norm) * w
     )
 
     if config.m == 0:
@@ -263,12 +262,11 @@ def population_gradient(
     shared = 0.5 * p * norm * norm - p_star * norm * t_norm * (
         (sin_phi - phi * cos_phi) / (2.0 * math.pi)
     )
-    grad_hidden = np.array([(p / v) * shared for v in state.hidden])
-    return grad_w, grad_hidden
+    return grad_w, np.array([(p / v) * shared for v in hidden])
 
 
 def polar_of(config: NeuronConfig, state: WeightState) -> PolarState:
     """Reduced coordinates of a state: (||w||, pi - angle(w, target_w))."""
     _check_state(config, state)
-    norm, _, phi = _angles(config, state)
+    norm, _, phi = _angles(config, state.w)
     return PolarState(magnitude=norm, angle=phi)

@@ -1,8 +1,10 @@
-"""The benchmark calls the package through module aliases (``B.envelope_curve``);
-every name it reaches that way must exist, or the benchmark only finds out
-when its operations fail."""
+"""The benchmark calls the package through module aliases (``B.envelope_curve``)
+and its tracer reads traced calls' arguments by name; every name it reaches
+either way must exist, or the benchmark only finds out when its operations
+fail."""
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -32,3 +34,39 @@ def test_benchmark_workloads_call_existing_names():
         if not hasattr(importlib.import_module(modules[alias]), attr)
     )
     assert not missing, f"perfbench/workloads.py calls names that are gone: {missing}"
+
+
+TRACING = WORKLOADS.with_name("tracing.py")
+
+
+def test_tracer_probes_read_parameters_of_the_functions_they_trace():
+    """Each probe reads the traced call's bound arguments by name
+    (``a["t_end"]``); a renamed parameter would fail only traced runs."""
+    tree = ast.parse(TRACING.read_text())
+    probes = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    table = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "PROBES" for t in node.targets)
+    )
+    checked = 0
+    for key, probe_name in zip(table.keys, table.values):
+        module, function = (elt.value for elt in key.elts)
+        probe = probes[probe_name.id]
+        arg = probe.args.args[0].arg
+        read = {
+            node.slice.value
+            for node in ast.walk(probe)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name) and node.value.id == arg
+            and isinstance(node.slice, ast.Constant)
+        }
+        assert read, f"{probe.name} reads no argument"
+        fn = getattr(importlib.import_module(f"reluflow.{module}"), function)
+        params = set(inspect.signature(fn).parameters)
+        assert read <= params, (
+            f"{probe.name} reads {sorted(read - params)}, not parameters of "
+            f"reluflow.{module}.{function}"
+        )
+        checked += 1
+    assert checked == len(table.keys) >= 10

@@ -45,7 +45,7 @@ def band_at(env, T, eta):
 
 def test_step_fixed_point_at_target():
     cfg, _ = make_problem(1)
-    state = WeightState(cfg.target_w.copy(), (cfg.target_v,))
+    state = WeightState(cfg.target_w.copy(), (cfg.target_norm,))
     out = gd_step(cfg, state, 0.05)
     assert np.allclose(out.w, state.w, atol=1e-14)
     assert out.hidden[0] == pytest.approx(state.hidden[0], abs=1e-14)
@@ -140,16 +140,23 @@ def test_bridge_rejects_non_finite_eta():
             stopping_time(env, eta, 1e-2)
 
 
-@pytest.mark.parametrize("m", [0, 1, 2])
-def test_empirical_run_equals_a_fold_of_gd_step(m):
-    """run_gd's empirical loop (labels computed once, raw state) records
-    exactly the states a fold of the public gd_step gives on the same data."""
+@pytest.mark.parametrize(
+    "m,mode",
+    [pytest.param(m, "empirical", id=str(m)) for m in (0, 1, 2)]
+    + [pytest.param(m, "population", id=f"population-{m}") for m in (0, 1, 2)],
+)
+def test_empirical_run_equals_a_fold_of_gd_step(m, mode):
+    """run_gd's loop (raw state; in empirical mode labels computed once)
+    records exactly the states a fold of the public gd_step gives on the same
+    data, or on the population gradient."""
     cfg, init = make_problem(m, d=6, v0=0.8, phi0=2.0, seed=m)
-    dc = DescentConfig(eta=0.02, steps=300, mode="empirical", n_samples=500,
+    dc = DescentConfig(eta=0.02, steps=300, mode=mode, n_samples=500,
                        seed=11, record_every=40)
     traj = run_gd(cfg, init, dc)
-    rng = np.random.default_rng(np.random.SeedSequence(dc.seed))
-    batch = rng.standard_normal((dc.n_samples, cfg.d))
+    batch = None
+    if mode == "empirical":
+        rng = np.random.default_rng(np.random.SeedSequence(dc.seed))
+        batch = rng.standard_normal((dc.n_samples, cfg.d))
     state, want = init, [init]
     for k in range(1, dc.steps + 1):
         state = gd_step(cfg, state, dc.eta, batch)

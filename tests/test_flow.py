@@ -85,7 +85,7 @@ def test_vector_rhs_is_negative_gradient():
 
 def test_vector_rhs_stationary_at_target():
     cfg = NeuronConfig(d=3, m=2, target_w=np.array([1.0, 2.0, -0.5]))
-    state = WeightState(cfg.target_w.copy(), (cfg.target_v,) * 2)
+    state = WeightState(cfg.target_w.copy(), (cfg.target_norm,) * 2)
     dw, dh = vector_rhs(cfg, state)
     assert np.allclose(dw, 0.0, atol=1e-13)
     assert np.allclose(dh, 0.0, atol=1e-13)
@@ -229,7 +229,57 @@ def test_vector_flow_preserves_balance():
 
 def test_vector_flow_constant_at_target():
     cfg = NeuronConfig(d=3, m=1, target_w=np.array([1.0, 0.5, -0.2]))
-    init = WeightState(cfg.target_w.copy(), (cfg.target_v,))
+    init = WeightState(cfg.target_w.copy(), (cfg.target_norm,))
     traj = integrate_vector(cfg, init, t_end=2.0, dt=1e-3, sample_every=100)
     for ws in traj.weight_states:
         assert np.allclose(ws.w, cfg.target_w, atol=1e-10)
+
+
+def test_one_vector_flow_step_is_rk4_on_vector_rhs():
+    """integrate_vector steps -population_gradient as written: one step
+    equals classic RK4 done by hand on vector_rhs, bit for bit."""
+    rng = np.random.default_rng(21)
+    for case in range(20):
+        m, d = case % 4, 3 + case % 6
+        cfg = NeuronConfig(d=d, m=m, target_w=rng.standard_normal(d))
+        init = WeightState(rng.standard_normal(d), tuple(rng.uniform(0.3, 1.5, m)))
+        h = 1e-2
+
+        def field(y):
+            dw, dh = vector_rhs(cfg, WeightState(y[:d], tuple(y[d:])))
+            return np.concatenate([dw, dh])
+
+        y = np.concatenate([init.w, np.array(init.hidden)])
+        k1 = field(y)
+        k2 = field(y + (0.5 * h) * k1)
+        k3 = field(y + (0.5 * h) * k2)
+        k4 = field(y + h * k3)
+        want = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        got = integrate_vector(cfg, init, t_end=h, dt=h).weight_states[-1]
+        assert np.array_equal(got.w, want[:d]), case
+        assert got.hidden == tuple(want[d:]), case
+
+
+def _run(integrator, t_end=1.0, dt=0.1, sample_every=1):
+    if integrator == "polar":
+        spec = FlowSpec(m=1, target_norm=1.0, initial=PolarState(0.8, 2.0),
+                        t_end=t_end, dt=dt)
+        return integrate_polar(spec, sample_every=sample_every)
+    cfg = NeuronConfig(d=3, m=1, target_w=np.array([1.0, 0.0, 0.0]))
+    init = WeightState(np.array([-0.3, 0.5, 0.1]), (0.6,))
+    return integrate_vector(cfg, init, t_end=t_end, dt=dt, sample_every=sample_every)
+
+
+@pytest.mark.parametrize("integrator", ["polar", "vector"])
+@pytest.mark.parametrize("sample_every", [2.5, math.nan])
+def test_integrators_reject_a_fractional_or_nan_sample_every(integrator, sample_every):
+    with pytest.raises(DomainError):
+        _run(integrator, sample_every=sample_every)
+
+
+@pytest.mark.parametrize("integrator", ["polar", "vector"])
+@pytest.mark.parametrize("t_end,dt", [(math.inf, 0.1), (1e300, 1e-10)],
+                         ids=["infinite", "overflowing"])
+def test_integrators_reject_an_infinite_step_count(integrator, t_end, dt):
+    with pytest.raises(DomainError):
+        _run(integrator, t_end=t_end, dt=dt)

@@ -101,10 +101,8 @@ def test_relu_product_values():
 def test_config_validation():
     with pytest.raises(ZeroVectorError):
         NeuronConfig(d=3, m=0, target_w=np.zeros(3))
-    with pytest.raises(DomainError):
-        NeuronConfig(d=3, m=1, target_w=np.ones(3), target_v=0.3)  # unbalanced
     cfg = NeuronConfig(d=3, m=2, target_w=np.ones(3))
-    assert cfg.target_v == pytest.approx(math.sqrt(3.0))
+    assert cfg.target_norm == pytest.approx(math.sqrt(3.0))
     assert cfg.target_product == pytest.approx(math.sqrt(3.0) ** 2)
 
 
@@ -131,7 +129,7 @@ def test_polar_of_reference_points():
 
 def test_loss_zero_at_target():
     cfg = NeuronConfig(d=4, m=2, target_w=np.array([1.0, -2.0, 0.5, 1.0]))
-    state = WeightState(cfg.target_w.copy(), (cfg.target_v, cfg.target_v))
+    state = WeightState(cfg.target_w.copy(), (cfg.target_norm, cfg.target_norm))
     assert population_loss(cfg, state) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -146,7 +144,7 @@ def test_loss_antipodal_one_layer():
 
 def test_gradient_zero_at_target():
     cfg = NeuronConfig(d=3, m=1, target_w=np.array([0.5, 1.0, -1.0]))
-    state = WeightState(cfg.target_w.copy(), (cfg.target_v,))
+    state = WeightState(cfg.target_w.copy(), (cfg.target_norm,))
     gw, gh = population_gradient(cfg, state)
     assert np.allclose(gw, 0.0, atol=1e-13)
     assert np.allclose(gh, 0.0, atol=1e-13)
@@ -198,5 +196,52 @@ def test_balanced_scalar_gradients_equal():
 
 def test_gradient_rejects_nonpositive_hidden():
     cfg = NeuronConfig(d=2, m=1, target_w=np.array([1.0, 0.0]))
-    with pytest.raises(DomainError):
-        population_gradient(cfg, WeightState(np.array([0.5, 0.5]), (-0.1,)))
+    for bad in (-0.1, 0.0, math.nan):
+        with pytest.raises(DomainError):
+            population_gradient(cfg, WeightState(np.array([0.5, 0.5]), (bad,)))
+
+
+def _gradient_as_written(config, state):
+    """The closed form of population_gradient's docstring, in the float order
+    the package has always evaluated it in: the oracle for its kernel."""
+    norm = float(np.linalg.norm(state.w))
+    t_norm = float(np.linalg.norm(config.target_w))
+    cos_t = float(np.clip((state.w @ config.target_w) / (norm * t_norm), -1.0, 1.0))
+    phi = math.pi - math.acos(cos_t)
+    p = state.product
+    p_star = t_norm**config.m
+    sin_phi = math.sin(phi)
+    cos_phi = math.cos(phi)
+    grad_w = 0.5 * p * p * state.w - p * p_star * (
+        (phi / (2.0 * math.pi)) * config.target_w
+        + (sin_phi / (2.0 * math.pi)) * (t_norm / norm) * state.w
+    )
+    if config.m == 0:
+        return grad_w, np.zeros(0)
+    shared = 0.5 * p * norm * norm - p_star * norm * t_norm * (
+        (sin_phi - phi * cos_phi) / (2.0 * math.pi)
+    )
+    return grad_w, np.array([(p / v) * shared for v in state.hidden])
+
+
+def test_gradient_equals_the_closed_form_as_written():
+    rng = np.random.default_rng(2024)
+    near = 0
+    for case in range(400):
+        m, d = case % 4, 2 + case % 11
+        tw = rng.standard_normal(d) * rng.uniform(0.3, 3.0)
+        cfg = NeuronConfig(d=d, m=m, target_w=tw)
+        if case % 3 == 0:
+            # within 1e-12..1e-4 of the teacher's direction, or its opposite
+            tilt = 10.0 ** rng.uniform(-12, -4)
+            w = np.sign(rng.standard_normal()) * tw + tilt * rng.standard_normal(d)
+            near += 1
+        else:
+            w = rng.standard_normal(d)
+        w *= rng.uniform(0.05, 4.0) / np.linalg.norm(w)
+        state = WeightState(w, tuple(rng.uniform(0.1, 3.0, m)))
+        gw, gh = population_gradient(cfg, state)
+        want_w, want_h = _gradient_as_written(cfg, state)
+        assert np.array_equal(gw, want_w), case
+        assert np.array_equal(gh, want_h), case
+    assert near > 100
