@@ -15,7 +15,6 @@ from reluflow import (
     PolarState,
     check_envelope,
     envelope_curve,
-    flow_forms_for,
     integrate_polar,
     reanchored,
 )
@@ -49,7 +48,3 @@ lo2, hi2 = envelope_curve(re, traj.times[k:])
 shrink = 1 - np.mean((hi2 - lo2)[1:] / (hi - lo)[k + 1:])
 print(f"\nre-anchoring the angle band at t=10 shrinks its width by "
       f"{shrink * 100:.1f}% on average over the tail")
-
-print("\nclosed forms behind the bands:")
-for name, form in sorted(flow_forms_for(env).items()):
-    print(f"  {name:22s} rate constant {form.c:.6f}")

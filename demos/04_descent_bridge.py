@@ -13,7 +13,6 @@ import numpy as np
 from reluflow import (
     BoundEnvelope,
     DescentConfig,
-    ExpFlowForm,
     NeuronConfig,
     WeightState,
     envelope_curve,
@@ -54,9 +53,9 @@ for i in np.linspace(0, len(traj.times) - 1, 6).astype(int):
           f"{'' if inside else '   <- outside!'}")
 
 # the bridge is first-order: halving eta halves the substitution error
-form = ExpFlowForm(1.0, lambda x: math.sqrt(1.0 / (1.0 - (1.0 - 1.0 / v0**2) * x)))
 pairs = gd_error_scaling(
-    form, lambda w: -0.5 * w * (w * w - 1.0), (4e-3, 2e-3, 1e-3), 8.0
+    1.0, lambda x: math.sqrt(1.0 / (1.0 - (1.0 - 1.0 / v0**2) * x)),
+    lambda w: -0.5 * w * (w * w - 1.0), (4e-3, 2e-3, 1e-3), 8.0
 )
 print("\ndiscretization error of the substitution rule (logistic norm flow):")
 for eta_i, err in pairs:

@@ -23,12 +23,9 @@ from .bounds import (
 )
 from .descent import (
     DescentConfig,
-    ExpFlowForm,
     eta_threshold,
-    flow_forms_for,
     gd_error_scaling,
     gd_step,
-    gf_to_gd,
     run_gd,
     stopping_time,
 )
@@ -94,7 +91,6 @@ __all__ = [
     "EXPERIMENTS",
     "EnvelopeReport",
     "ExperimentResult",
-    "ExpFlowForm",
     "FlowSpec",
     "McEstimate",
     "NeuronConfig",
@@ -112,12 +108,10 @@ __all__ = [
     "envelope_curve",
     "epsilon_gap",
     "eta_threshold",
-    "flow_forms_for",
     "frozen_gap_magnitude_implicit",
     "frozen_gap_magnitude_ode",
     "gd_error_scaling",
     "gd_step",
-    "gf_to_gd",
     "half_space_second_moment",
     "integrate_polar",
     "integrate_vector",

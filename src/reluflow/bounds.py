@@ -42,7 +42,10 @@ The band table
 magnitude bands for m <= 1 and the angle bands. `envelope_curve` is the one
 evaluator of every band: a side is the sum of its g(x) over a grid, with
 x = e^(-c tau) on the flow and x = (1 - c eta)^T after T descent steps at
-step size eta. Step-size thresholds and stopping times read the same rates.
+step size eta: the one bridge from the flow to descent. Step-size
+thresholds and stopping times read the same rates, under one step-size rule:
+a descent-side statement holds for eta below a tenth of the band's threshold
+1 / c at its fastest rate, and is first-order accurate below a hundredth.
 """
 from __future__ import annotations
 
@@ -206,6 +209,31 @@ def _band_forms(env: BoundEnvelope) -> _Band:
 def _threshold(band: _Band) -> float:
     """Theorem-scale step-size constant of a band: 1 / c at its fastest rate."""
     return 1.0 / max(t.c for t in band.lower + band.upper)
+
+
+# The step-size rule, as fractions of a band's threshold (module docstring).
+_ETA_CEILING = 0.1
+_ETA_CLEAN = 0.01
+
+
+def _check_eta(eta: float) -> None:
+    # Stated positively: NaN fails every comparison.
+    if not 0.0 < eta < math.inf:
+        raise DomainError(f"eta must be positive and finite, got {eta}")
+
+
+def _certify_eta(eta: float, threshold: float) -> None:
+    """Guard of a descent-side certificate: refuse eta at or above the
+    ceiling of the step-size rule, warn above its clean line."""
+    _check_eta(eta)
+    if eta >= _ETA_CEILING * threshold:
+        raise DomainError(f"eta={eta} too large against the rate threshold {threshold}")
+    if eta > _ETA_CLEAN * threshold:
+        warnings.warn(
+            f"eta={eta} above 1% of the rate threshold {threshold}; "
+            "first-order accuracy degrades",
+            stacklevel=3,
+        )
 
 
 def _frozen_ode_rhs(m: int, a: float, v: float) -> float:
@@ -386,7 +414,7 @@ def envelope_curve(
     x = (1 - c eta)^(T - anchor): the flow band pushed through the
     substitution, for whole step counts only. Descent bands exist wherever
     the table has terms (UnavailableError otherwise), and a step size above
-    a tenth of the band's threshold warns once: the band is drawn but no
+    the ceiling of the step-size rule warns once: the band is drawn but no
     longer guaranteed.
     """
     times = np.asarray(times, dtype=float)
@@ -406,12 +434,11 @@ def envelope_curve(
         return lowers, uppers
     band = _band_forms(env)
     if eta is not None:
-        if not eta > 0:
-            raise DomainError("eta must be positive")
+        _check_eta(eta)
         if np.any(taus != np.floor(taus)):
             raise DomainError("descent times must be whole step counts from the anchor")
         threshold = _threshold(band)
-        if eta > 0.1 * threshold:
+        if eta > _ETA_CEILING * threshold:
             warnings.warn(
                 f"eta={eta} exceeds 10% of the theorem threshold {threshold}; "
                 "the band is drawn but no longer guaranteed",

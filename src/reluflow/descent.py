@@ -6,18 +6,11 @@ accurate to first order in the step size over any fixed horizon c eta T.
 The closed-form envelopes are stated once, as (c, g) terms in the band
 table of the bounds module, and `bounds.envelope_curve(env, steps, eta)`
 evaluates them at (1 - c eta)^T: the descent-side envelopes are the flow
-envelopes pushed through the substitution (the angle upper band is the sum
-of two terms, rates c and 3c, then clipped at pi). `ExpFlowForm` carries
-one validated (c, g) pair; `flow_forms_for` wraps the table's terms in it,
-and `gf_to_gd` performs the substitution for one pair, with the step-size
-guards below.
-
-Step-size thresholds: every descent-side band is derived under a smallness
-condition on eta. `eta_threshold` returns the theorem-scale constant 1 / c
-at the band's fastest rate; `stopping_time` reads the lower rate; the
-bridge refuses eta above a tenth of it and warns above a hundredth, while
-`envelope_curve` warns above a tenth and still draws the band (a run with a
-too-large step still wants its band drawn, it just loses the guarantee).
+envelopes pushed through the substitution. That is the only bridge, and one
+step-size rule, stated in the bounds module, governs it: `eta_threshold` is
+a band's threshold, `stopping_time` and `gd_error_scaling` refuse eta at or
+above a tenth of theirs and warn above a hundredth, and `envelope_curve`
+warns above a tenth but still draws the band.
 
 `run_gd` trains the deep single-ReLU-neuron model itself, either on the
 population gradient (exact closed form) or on a fixed dataset drawn once
@@ -33,15 +26,14 @@ records.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import BoundEnvelope, _band_forms, _threshold
+from .bounds import BoundEnvelope, _band_forms, _certify_eta, _check_eta, _threshold
 from .errors import DivergenceError, DomainError
-from .flow import _BLOWUP, Trajectory, _is_count, epsilon_gap
+from .flow import _BLOWUP, Trajectory, _is_count
 from .population import (
     NeuronConfig,
     WeightState,
@@ -78,32 +70,6 @@ class DescentConfig:
             raise DomainError("empirical mode needs an integer n_samples >= 1")
         if not (_is_count(self.record_every) and self.record_every >= 1):
             raise DomainError("record_every must be an integer >= 1")
-
-
-def _check_eta(eta: float) -> None:
-    # Stated positively: NaN fails every comparison.
-    if not 0.0 < eta < math.inf:
-        raise DomainError(f"eta must be positive and finite, got {eta}")
-
-
-@dataclass(frozen=True)
-class ExpFlowForm:
-    """A flow solution in exponential-substitution form, w(t) = g(e^(-c t)).
-
-    g must be injective on [0, 1]; that is spot-checked on a thousand-point
-    grid at construction.
-    """
-
-    c: float
-    g: Callable[[float], float]
-
-    def __post_init__(self) -> None:
-        if self.c <= 0:
-            raise DomainError("decay rate c must be positive")
-        values = [self.g(x) for x in np.linspace(0.0, 1.0, 1000)]
-        diffs = np.diff(values)
-        if not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise DomainError("g must be strictly monotone (injective) on [0, 1]")
 
 
 def gd_step(
@@ -214,108 +180,69 @@ def run_gd(config: NeuronConfig, init: WeightState, dc: DescentConfig) -> Trajec
                       weight_states=wstates)
 
 
-def gf_to_gd(form: ExpFlowForm, eta: float, T: int) -> float:
-    """Descent-side value of a flow solution: g((1 - c eta)^T).
-
-    Valid to first order in eta over a fixed horizon c eta T. Raises above
-    eta = 0.1/c where the substitution stops being meaningful; warns above
-    0.01/c where the first-order error is no longer comfortably small.
-    """
-    _check_eta(eta)
-    if T < 0 or T != int(T):
-        raise DomainError("T must be a non-negative integer")
-    if eta * form.c > 0.1:
-        raise DomainError(f"eta={eta} too large against the rate threshold {1.0 / form.c}")
-    if eta > 0.01 / form.c:
-        warnings.warn(
-            f"eta={eta} above 1% of the rate threshold; first-order accuracy degrades",
-            stacklevel=2,
-        )
-    return form.g((1.0 - form.c * eta) ** int(T))
-
-
 def gd_error_scaling(
-    form: ExpFlowForm,
+    c: float,
+    g: Callable[[float], float],
     flow_rhs: Callable[[float], float],
     etas: Sequence[float],
     horizon: float,
 ) -> list[tuple[float, float]]:
     """Measure the Euler-vs-substitution gap as a function of step size.
 
-    For each eta, runs explicit Euler w += eta * flow_rhs(w) from w(0) = g(1)
-    for round(horizon/eta) steps and records the worst deviation from the
-    substituted solution g((1 - c eta)^k). The deviation scales linearly in
-    eta when the form and the field describe the same flow.
+    The flow solution is w(t) = g(e^(-c t)). For each eta, runs explicit
+    Euler w += eta * flow_rhs(w) from w(0) = g(1) for round(horizon/eta)
+    steps and records the worst deviation from the substituted solution
+    g((1 - c eta)^k). The deviation scales linearly in eta when (c, g) and
+    the field describe the same flow. Each eta obeys the step-size rule at
+    the threshold 1 / c.
     """
+    if not 0.0 < c < math.inf:
+        raise DomainError(f"decay rate c must be positive and finite, got {c}")
     if horizon <= 0:
         raise DomainError("horizon must be positive")
     if not etas:
         raise DomainError("need at least one step size")
     out = []
     for eta in etas:
-        if eta <= 0 or eta >= 0.1 / form.c:
-            raise DomainError(f"eta={eta} outside (0, 0.1/c)")
+        _certify_eta(eta, 1.0 / c)
         steps = max(1, round(horizon / eta))
-        base = 1.0 - form.c * eta
-        w = form.g(1.0)
+        base = 1.0 - c * eta
+        w = g(1.0)
         worst = 0.0
         for k in range(1, steps + 1):
             w = w + eta * flow_rhs(w)
-            ref = form.g(base**k)
+            ref = g(base**k)
             worst = max(worst, abs(w - ref))
         out.append((float(eta), float(worst)))
     return out
-
-
-def flow_forms_for(env: BoundEnvelope) -> dict[str, ExpFlowForm]:
-    """Exponential-substitution pairs realizing an envelope's closed forms.
-
-    Returns 'lower' and 'upper' forms; angle envelopes additionally return
-    'upper_correction' (the cubic tail runs at three times the main rate, so
-    the full upper band is upper + upper_correction, clipped at pi). The
-    terms are the band table's, wrapped and validated. No forms exist for
-    m >= 2 magnitude bands (the bound there is implicit, not
-    exponential-closed-form), and an m = 1 start on an attractor degenerates.
-    """
-    band = _band_forms(env)
-    terms = band.lower + band.upper
-    if env.kind == "magnitude" and env.m == 1 and any(
-        math.isclose(env.v0 * env.v0, t.c) for t in terms
-    ):
-        raise DomainError("start sits on an attractor; the form degenerates")
-    names = ("lower", "upper", "upper_correction")
-    return {name: ExpFlowForm(t.c, t.g) for name, t in zip(names, terms)}
 
 
 def eta_threshold(env: BoundEnvelope) -> float:
     """Theorem-scale step-size constant for an envelope's descent band:
     1 / c over the fastest rate c among the band's terms.
 
-    Bands are proven under eta well below this; the package treats a tenth
-    of it as the hard ceiling and a hundredth as the clean regime.
+    Bands are proven under eta well below this; the step-size rule treats a
+    tenth of it as the hard ceiling and a hundredth as the clean regime.
     """
     return _threshold(_band_forms(env))
 
 
 def stopping_time(env: BoundEnvelope, eta: float, eps: float) -> int:
     """Steps guaranteed to drive the angle above pi - eps, from the angle
-    lower band: least T with 2 cot(phi0/2) (1 - rate*eta)^T < eps.
+    lower band: least T with 2 cot(phi0/2) (1 - rate*eta)^T < eps, at the
+    band's lower rate.
 
     Returns 0 when the band already starts above pi - eps. eta must sit
-    below a tenth of the angle threshold (hard), ideally below a hundredth
-    (warned otherwise).
+    below a tenth of `eta_threshold(env)`, 1 / c at the band's fastest rate
+    (hard), ideally below a hundredth (warned otherwise).
     """
     if env.kind != "angle":
         raise DomainError("stopping times come from angle envelopes")
     if eps <= 0:
         raise DomainError("eps must be positive")
-    _check_eta(eta)
-    rate = _band_forms(env).lower[0].c
-    thr = 1.0 / rate
-    if eta >= 0.1 * thr:
-        raise DomainError(f"eta={eta} too large against the rate threshold {thr}")
-    if eta > 0.01 * thr:
-        warnings.warn(f"eta={eta} above 1% of the rate threshold {thr}", stacklevel=2)
+    band = _band_forms(env)
+    _certify_eta(eta, _threshold(band))
+    rate = band.lower[0].c
     x = 0.5 * eps * math.tan(env.phi0 / 2.0)
     if x >= 1.0:
         return 0

@@ -42,8 +42,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bounds import (
+    _ETA_CEILING,
     BoundEnvelope,
     EnvelopeReport,
+    _band_forms,
     _frozen_ode_rhs,
     _frozen_rate,
     check_envelope,
@@ -53,7 +55,6 @@ from .bounds import (
 from .descent import (
     DescentConfig,
     eta_threshold,
-    flow_forms_for,
     gd_error_scaling,
     run_gd,
     stopping_time,
@@ -472,24 +473,20 @@ def _run_descent_figure(cfg: RunConfig, kinds: list[str]) -> _Outcome:
     r, R, checks = _rr_recipe(label, polar0.magnitude, tnorm)
     bracket_ok = _bracket(checks, traj, r, R)
 
+    ang_env = BoundEnvelope("angle", m, tnorm, polar0.angle, polar0.magnitude, r=r, R=R)
     bounds_data: dict[str, EnvelopeReport] = {}
     for kind in kinds:
         if kind == "magnitude":
             env = BoundEnvelope("magnitude", m, tnorm, polar0.angle, polar0.magnitude)
             enforce = True
         else:
-            env = BoundEnvelope(
-                "angle", m, tnorm, polar0.angle, polar0.magnitude, r=r, R=R
-            )
-            enforce = bracket_ok
+            env, enforce = ang_env, bracket_ok
         check, data = _band_checks(traj, env, eta, f"{kind}_envelope", enforce)
         checks.append(check)
         bounds_data[kind] = data
 
-    thr = eta_threshold(
-        BoundEnvelope("angle", m, tnorm, polar0.angle, polar0.magnitude, r=r, R=R)
-    )
-    checks.append(_check("eta_regime", eta <= 0.1 * thr, 0.1 * thr - eta))
+    ceiling = _ETA_CEILING * eta_threshold(ang_env)
+    checks.append(_check("eta_regime", eta <= ceiling, ceiling - eta))
 
     _write_run(outdir, traj, bounds_data, "step")
     return outdir, checks
@@ -537,12 +534,8 @@ def _run_reanchor(cfg: RunConfig) -> _Outcome:
     for anchor in anchors:
         idx = times_list.index(float(anchor))
         env = reanchored(base_env, traj, idx) if anchor else base_env
-        rep = check_envelope(traj, env, 0.0, eta=eta)
-        slack = _envelope_range_slack(rep.lowers, rep.uppers)
-        checks.append(
-            _check(f"magnitude_envelope_anchor_{anchor}",
-                   rep.worst_margin <= slack, slack - rep.worst_margin)
-        )
+        check, rep = _band_checks(traj, env, eta, f"magnitude_envelope_anchor_{anchor}", True)
+        checks.append(check)
         # How far the band ever sits from the trajectory: the later the
         # anchor, the tighter this must get ("latest bounds are tightest").
         worst_slacks.append(max(
@@ -613,8 +606,8 @@ def _run_error_scaling(cfg: RunConfig) -> _Outcome:
     # The m = 1 frozen-gap flow at eps = 0 with a unit teacher from v0 = 0.5:
     # the upper magnitude band of the table is its exact solution.
     env = BoundEnvelope("magnitude", 1, 1.0, math.pi / 2, 0.5)
-    form = flow_forms_for(env)["upper"]
-    pairs = gd_error_scaling(form, lambda w: _frozen_ode_rhs(1, 1.0, w), etas, horizon)
+    c, g = _band_forms(env).upper[0]
+    pairs = gd_error_scaling(c, g, lambda w: _frozen_ode_rhs(1, 1.0, w), etas, horizon)
 
     outdir = _out_dir(cfg)
     lines = ["eta,max_error"] + [f"{_fmt(e)},{_fmt(err)}" for e, err in pairs]

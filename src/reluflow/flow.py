@@ -241,19 +241,14 @@ def integrate_polar(spec: FlowSpec, sample_every: int = 1) -> Trajectory:
     losses = [balanced_population_loss(m, tn, states[0])]
 
     for k in range(n_steps):
-        if frozen:
-            kv1, _ = _polar_rates(m, tn, v, phi)
-            kv2, _ = _polar_rates(m, tn, v + 0.5 * h * kv1, phi)
-            kv3, _ = _polar_rates(m, tn, v + 0.5 * h * kv2, phi)
-            kv4, _ = _polar_rates(m, tn, v + h * kv3, phi)
-            v += (h / 6.0) * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
-        else:
-            kv1, kp1 = _polar_rates(m, tn, v, phi)
-            kv2, kp2 = _polar_rates(m, tn, v + 0.5 * h * kv1, phi + 0.5 * h * kp1)
-            kv3, kp3 = _polar_rates(m, tn, v + 0.5 * h * kv2, phi + 0.5 * h * kp2)
-            kv4, kp4 = _polar_rates(m, tn, v + h * kv3, phi + h * kp3)
-            v += (h / 6.0) * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
-            phi += (h / 6.0) * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4)
+        # A frozen angle takes zero steps: phi + 0.0 is phi bit for bit.
+        hp = 0.0 if frozen else h
+        kv1, kp1 = _polar_rates(m, tn, v, phi)
+        kv2, kp2 = _polar_rates(m, tn, v + 0.5 * h * kv1, phi + 0.5 * hp * kp1)
+        kv3, kp3 = _polar_rates(m, tn, v + 0.5 * h * kv2, phi + 0.5 * hp * kp2)
+        kv4, kp4 = _polar_rates(m, tn, v + h * kv3, phi + hp * kp3)
+        v += (h / 6.0) * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
+        phi += (hp / 6.0) * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4)
         t = (k + 1) * h
         phi, now_frozen = _check_step(v, phi, t)
         frozen = frozen or now_frozen

@@ -24,7 +24,6 @@ from reluflow.bounds import (
 )
 from reluflow.descent import (
     DescentConfig,
-    ExpFlowForm,
     eta_threshold,
     gd_error_scaling,
     run_gd,
@@ -360,16 +359,14 @@ def test_criterion_07_descent_envelopes():
 def test_criterion_08_substitution_error_scaling():
     etas = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
     lin = gd_error_scaling(
-        ExpFlowForm(1.0, lambda x: 0.8 * x), lambda w: -w, etas, 5.0
+        1.0, lambda x: 0.8 * x, lambda w: -w, etas, 5.0
     )
     linear_exact = all(err < 1e-12 for _, err in lin)
 
     v0 = 0.5
-    log_form = ExpFlowForm(
-        1.0, lambda x: math.sqrt(1.0 / (1.0 - (1.0 - 1.0 / v0**2) * x))
-    )
     pairs = gd_error_scaling(
-        log_form, lambda w: -0.5 * w * (w * w - 1.0), etas, 8.0
+        1.0, lambda x: math.sqrt(1.0 / (1.0 - (1.0 - 1.0 / v0**2) * x)),
+        lambda w: -0.5 * w * (w * w - 1.0), etas, 8.0
     )
     slope = float(
         np.polyfit(np.log([e for e, _ in pairs]), np.log([x for _, x in pairs]), 1)[0]

@@ -1,7 +1,7 @@
 """The benchmark calls the package through module aliases (``B.envelope_curve``)
 and its tracer reads traced calls' arguments by name; every name it reaches
 either way must exist, or the benchmark only finds out when its operations
-fail."""
+fail. The demos, which only run by hand, are held to the same."""
 import ast
 import importlib
 import inspect
@@ -70,3 +70,20 @@ def test_tracer_probes_read_parameters_of_the_functions_they_trace():
         )
         checked += 1
     assert checked == len(table.keys) >= 10
+
+
+DEMOS = WORKLOADS.parents[1] / "demos"
+
+
+def test_demos_import_existing_names():
+    """A demo runs only by hand, so a public name it imports that is gone
+    would otherwise go unnoticed; parsing costs no run time."""
+    checked = 0
+    for path in sorted(DEMOS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("reluflow"):
+                module = importlib.import_module(node.module)
+                missing = [a.name for a in node.names if not hasattr(module, a.name)]
+                assert not missing, f"{path.name} imports names that are gone: {missing}"
+                checked += len(node.names)
+    assert checked

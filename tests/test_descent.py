@@ -8,12 +8,9 @@ from hypothesis import given, settings, strategies as st
 from reluflow.bounds import BoundEnvelope, envelope_curve
 from reluflow.descent import (
     DescentConfig,
-    ExpFlowForm,
     eta_threshold,
-    flow_forms_for,
     gd_error_scaling,
     gd_step,
-    gf_to_gd,
     run_gd,
     stopping_time,
 )
@@ -132,12 +129,11 @@ def test_gd_step_rejects_state_of_another_depth(batched):
 
 def test_bridge_rejects_non_finite_eta():
     env = BoundEnvelope("angle", 1, 1.0, 2.0, 0.5, r=0.4, R=1.2)
-    form = flow_forms_for(env)["lower"]
     for eta in (math.nan, math.inf):
         with pytest.raises(DomainError):
-            gf_to_gd(form, eta, 10)
-        with pytest.raises(DomainError):
             stopping_time(env, eta, 1e-2)
+        with pytest.raises(DomainError):
+            gd_error_scaling(1.0, lambda x: 0.8 * x, lambda w: -w, (1e-3, eta), 1.0)
 
 
 @pytest.mark.parametrize(
@@ -201,70 +197,66 @@ def test_balanced_gaps_drift_slowly_under_gd():
 # ----------------------------------------------------------------
 # flow-to-descent substitution
 
-def test_gf_to_gd_identity_form():
-    form = ExpFlowForm(1.0, lambda x: x)
-    with pytest.warns(UserWarning):  # boundary step size is allowed but loud
-        assert gf_to_gd(form, 0.1, 10) == pytest.approx(0.9**10, rel=1e-15)
-
-
-def test_gf_to_gd_step_size_guards():
-    form = ExpFlowForm(2.0, lambda x: x)
-    with pytest.raises(DomainError):
-        gf_to_gd(form, 0.06, 10)  # eta > 0.1/c
-    with pytest.warns(UserWarning):
-        gf_to_gd(form, 0.006, 10)  # above the clean-run line
-
-
-def test_gf_to_gd_reproduces_small_norm_angle_bound():
-    phi0, eta, T = 1.8, 1e-3, 500
-    cot = 1.0 / math.tan(phi0 / 2)
-    form = ExpFlowForm(phi0 / (2 * math.pi), lambda x: math.pi - 2 * cot * x)
-    got = gf_to_gd(form, eta, T)
-    want = math.pi - 2 * cot * (1 - (phi0 / (2 * math.pi)) * eta) ** T
-    assert got == pytest.approx(want, rel=1e-14)
-
-
-def test_exp_flow_form_requires_monotone_shape():
-    with pytest.raises(DomainError):
-        ExpFlowForm(1.0, lambda x: math.sin(10 * x))
-
-
 def test_two_layer_magnitude_bridge_identity():
     vstar, v0, eta, T = 1.1, 0.4, 1e-3, 2_000
     env = BoundEnvelope("magnitude", 1, vstar, 2.0, v0)
-    forms = flow_forms_for(env)
-    got = gf_to_gd(forms["upper"], eta, T)
+    _, got = band_at(env, T, eta)
     x = (1 - vstar**2 * eta) ** T
     want = vstar * math.sqrt(1.0 / (1.0 - (1.0 - (vstar / v0) ** 2) * x))
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def closed_form_terms(env):
+    """The bands' (c, g) terms as the bounds module documents them, written
+    out here independently of its table."""
+    vstar, v0, phi0, m = env.target_norm, env.v0, env.phi0, env.m
+    if env.kind == "magnitude":
+        if m == 0:
+            s = 1.0 - epsilon_gap(phi0)
+            return ([(0.5, lambda x: s * (1.0 - x) * vstar + v0 * x)],
+                    [(0.5, lambda x: (1.0 - x) * vstar + v0 * x)])
+
+        def logistic(a):
+            return a, lambda x: math.sqrt(a / (1.0 - (1.0 - a / v0**2) * x))
+
+        return [logistic(vstar**2 * (1.0 - epsilon_gap(phi0)))], [logistic(vstar**2)]
+    cot = 1.0 / math.tan(phi0 / 2.0)
+    if m == 0:
+        c_low, c_up = (vstar / (2.0 * env.R)) * (phi0 / math.pi), vstar / (2.0 * env.r)
+    else:
+        c_low = (phi0 / (2.0 * math.pi)) * env.r ** (m - 1) * vstar ** (m + 1)
+        c_up = 0.5 * env.R ** (m - 1) * vstar ** (m + 1)
+    return ([(c_low, lambda x: math.pi - 2.0 * cot * x)],
+            [(c_up, lambda x: math.pi - 2.0 * cot * x),
+             (3.0 * c_up, lambda x: (2.0 / 3.0) * cot**3 * x)])
+
+
 @pytest.mark.parametrize(
-    "kind,m",
-    [("magnitude", 0), ("magnitude", 1), ("angle", 0), ("angle", 1), ("angle", 2), ("angle", 3)],
+    "kind,m,phi0,steps",
+    [pytest.param(kind, m, 1.9, (0, 1, 700, 5000), id=f"{kind}-{m}")
+     for kind, m in [("magnitude", 0), ("magnitude", 1), ("angle", 0), ("angle", 1),
+                     ("angle", 2), ("angle", 3)]]
+    # m = 1 with a unit teacher: the lower angle band is the small-norm bound
+    # pi - 2 cot(phi0/2) (1 - (phi0 / 2pi) eta)^T
+    + [pytest.param("angle", 1, 1.8, (500,), id="small-norm-angle-1")],
 )
-def test_angle_forms_sum_to_gd_bounds(kind, m):
-    """The scalar substitution of each table term, summed, checks the array
-    evaluator on a grid of steps."""
+def test_angle_forms_sum_to_gd_bounds(kind, m, phi0, steps):
+    """Each closed-form term's g((1 - c eta)^T), summed and, on the angle's
+    upper side, capped at pi, checks the array evaluator on a grid of steps."""
     bracket = {"r": 0.4, "R": 1.2} if kind == "angle" else {}
-    env = BoundEnvelope(kind, m, 1.0, 1.9, 0.5, **bracket)
-    eta, steps = 1e-3, (0, 1, 700, 5000)
-    forms = flow_forms_for(env)
+    env = BoundEnvelope(kind, m, 1.0, phi0, 0.5, **bracket)
+    eta = 1e-3
+    lower_terms, upper_terms = closed_form_terms(env)
     lowers, uppers = envelope_curve(env, np.array(steps, dtype=float), eta)
-    if kind == "magnitude":
-        assert set(forms) == {"lower", "upper"}
     for i, T in enumerate(steps):
-        assert gf_to_gd(forms["lower"], eta, T) == pytest.approx(lowers[i], rel=1e-14)
-        upper_sum = gf_to_gd(forms["upper"], eta, T)
-        if kind == "angle":
-            upper_sum = min(math.pi, upper_sum + gf_to_gd(forms["upper_correction"], eta, T))
-        assert upper_sum == pytest.approx(uppers[i], rel=1e-14)
-
-
-def test_flow_forms_unavailable_for_deep_magnitude():
-    env = BoundEnvelope("magnitude", 2, 1.0, 1.9, 0.5)
-    with pytest.raises(UnavailableError):
-        flow_forms_for(env)
+        lower = sum(g((1.0 - c * eta) ** T) for c, g in lower_terms)
+        upper = min(math.pi, sum(g((1.0 - c * eta) ** T) for c, g in upper_terms))
+        assert lower == pytest.approx(lowers[i], rel=1e-14, abs=0)
+        assert upper == pytest.approx(uppers[i], rel=1e-14, abs=0)
+    if kind == "angle" and m == 1:
+        cot = 1.0 / math.tan(phi0 / 2)
+        want = math.pi - 2 * cot * (1 - (phi0 / (2 * math.pi)) * eta) ** steps[-1]
+        assert lowers[-1] == pytest.approx(want, rel=1e-14, abs=0)
 
 
 # ----------------------------------------------------------------
@@ -272,18 +264,18 @@ def test_flow_forms_unavailable_for_deep_magnitude():
 
 def test_error_scaling_linear_flow_is_exact():
     w0 = 0.8
-    form = ExpFlowForm(1.0, lambda x: w0 * x)
-    pairs = gd_error_scaling(form, lambda w: -w, (1e-2, 5e-3), 5.0)
+    pairs = gd_error_scaling(1.0, lambda x: w0 * x, lambda w: -w, (1e-2, 5e-3), 5.0)
     assert all(err < 1e-12 for _, err in pairs)
 
 
 def test_error_scaling_logistic_flow_is_first_order():
     v0 = 0.5
-    form = ExpFlowForm(
-        1.0, lambda x: math.sqrt(1.0 / (1.0 - (1.0 - 1.0 / v0**2) * x))
-    )
     pairs = gd_error_scaling(
-        form, lambda w: -0.5 * w * (w * w - 1.0), (1e-2, 5e-3, 2.5e-3), 8.0
+        1.0,
+        lambda x: math.sqrt(1.0 / (1.0 - (1.0 - 1.0 / v0**2) * x)),
+        lambda w: -0.5 * w * (w * w - 1.0),
+        (1e-2, 5e-3, 2.5e-3),
+        8.0,
     )
     for (_, a), (_, b) in zip(pairs, pairs[1:]):
         assert 1.6 <= a / b <= 2.4
@@ -350,6 +342,18 @@ def test_stopping_time_reference_value():
     assert stopping_time(env, 1e-3, 1e-2) == 21_191
 
 
+def test_stopping_time_obeys_the_step_size_rule():
+    """The certificate's step size is judged against the band's threshold,
+    1 / c at its fastest rate, not against the slower rate it counts at."""
+    env = BoundEnvelope("angle", 0, 1.0, 1.9, 0.5, r=0.4, R=1.2)
+    thr = eta_threshold(env)
+    # 0.198 is 74% of the threshold, though under 5% of 1 / (lower rate)
+    with pytest.raises(DomainError):
+        stopping_time(env, 0.198, 1e-2)
+    with pytest.warns(UserWarning, match="1% of the rate threshold"):
+        stopping_time(env, 0.05 * thr, 1e-2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     m=st.integers(0, 3),
@@ -385,7 +389,7 @@ def test_stopping_time_guarantee_end_to_end():
 def test_descent_band_guards():
     env = BoundEnvelope("angle", 1, 1.0, 2.0, 0.5, r=0.4, R=1.2)
     steps = np.arange(0.0, 50.0)
-    for eta in (0.0, -1e-3):
+    for eta in (0.0, -1e-3, math.inf, math.nan):
         with pytest.raises(DomainError):
             envelope_curve(env, steps, eta)
     with pytest.raises(DomainError):
