@@ -15,13 +15,42 @@ warns above a tenth but still draws the band.
 `run_gd` trains the deep single-ReLU-neuron model itself, either on the
 population gradient (exact closed form) or on a fixed dataset drawn once
 (full-batch, realizable labels from the teacher). In both modes `run_gd`
-steps the raw (w, hidden) pair: the population gradient through the
-population module's unchecked kernel, the sample gradient through one
-private kernel that takes the labels, which never change, so `run_gd`
-computes them once per run. `gd_step` runs the same kernels and one update
-rule applies them. `gd_step` still validates its inputs on every call;
-`run_gd` validates once and builds a `WeightState` only at the steps it
-records.
+steps the raw (w, hidden) pair and one update rule applies the gradient:
+the population gradient through the population module's unchecked kernel,
+the sample gradient through the Gram kernel below. `gd_step` runs the same
+kernels. `gd_step` still validates its inputs on every call; `run_gd`
+validates once and builds a `WeightState` only at the steps it records.
+
+The sample gradient reads the data only through the active set
+S = {i : x_i.w > 0}. With p the product of the hidden scalars,
+G_S = X_S^T X_S and b_S = X_S^T y_S,
+
+    grad_w = (p/n) (p G_S w - b_S),   grad_v = (p/v) (p w^T G_S w - w^T b_S)/n,
+
+so a step costs O(d^2) once (G_S, b_S) is formed (`_active_gram`,
+`_gram_gradient`). `gd_step` tests every sign with `X @ w > 0` and forms
+(G_S, b_S) from scratch; `run_gd` re-forms them from scratch, with the same
+code, only when S changes, so its states equal a fold of `gd_step` bit for
+bit. No rank-k update is ever applied: it would drift from the fresh sum.
+
+`run_gd` finds sign changes through a certified watch set instead of the
+full `X @ w`. At a reference w_ref it takes the margins
+r_i = |x_i.w_ref| / |x_i| and keeps the `_WATCH` rows of smallest margin as
+one contiguous block; rho is the next smallest margin. By Cauchy-Schwarz,
+|x_i.w - x_i.w_ref| <= |x_i| |w - w_ref|, so while |w - w_ref| < rho no row
+outside the block changes sign and a step tests only the block; otherwise
+w becomes the new reference. With n <= `_WATCH` there is no block and
+every step tests every row.
+
+Rounding only shifts the argument. A d-term dot product is off by at most
+about d units of roundoff times |x_i| |w|, whatever the summation order.
+With the pad 4 (d + 2) eps, the radius is rho (1 - pad) - pad |w_ref|,
+which covers the rounding of r_i, of x_i.w and of |w - w_ref|; a radius
+the pad leaves non-positive certifies nothing, and the next step takes a
+new reference. A block row whose product lies within about pad |x_i| |w|
+of zero, where two summation orders could disagree on its sign, sends the
+step to the full `X @ w > 0` that `gd_step` uses. So the masks, and with
+them the states, of `run_gd` and of a fold of `gd_step` agree exactly.
 """
 from __future__ import annotations
 
@@ -107,20 +136,97 @@ def _teacher_labels(config: NeuronConfig, batch: np.ndarray) -> np.ndarray:
 def _sample_gradient(
     w: np.ndarray, hidden: tuple[float, ...], batch: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Full-batch gradient of the squared error against fixed labels; the
-    caller has checked the batch's shape and the hidden scalars' signs."""
-    n = batch.shape[0]
+    """Full-batch gradient of the squared error against fixed labels, with
+    the active set and its Gram data formed from scratch; the caller has
+    checked the batch's shape and the hidden scalars' signs."""
+    gram, moment = _active_gram(batch, labels, batch @ w > 0.0)
+    return _gram_gradient(w, hidden, batch.shape[0], gram, moment)
+
+
+def _active_gram(
+    batch: np.ndarray, labels: np.ndarray, active: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(G_S, b_S) = (X_S^T X_S, X_S^T y_S) over the rows the mask selects."""
+    rows = batch[active]
+    return rows.T @ rows, rows.T @ labels[active]
+
+
+def _gram_gradient(
+    w: np.ndarray, hidden: tuple[float, ...], n: int, gram: np.ndarray, moment: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sample gradient from the active set's (G_S, b_S) at w."""
     p = math.prod(hidden) if hidden else 1.0
-    pre = batch @ w
-    ind = pre > 0.0
-    act = np.where(ind, pre, 0.0)
-    e = p * act - labels
-    grad_w = (p / n) * (batch.T @ (e * ind))
+    resid = gram.dot(w) * p - moment
+    grad_w = resid * (p / n)
     if not hidden:
         return grad_w, np.zeros(0)
-    shared = float(e @ act) / n
+    shared = w.dot(resid) / n
     grad_hidden = np.array([(p / v) * shared for v in hidden])
     return grad_w, grad_hidden
+
+
+# Rows of the watch block that `run_gd` tests for sign changes every step.
+_WATCH = 64
+
+
+class _ActiveSet:
+    """`run_gd`'s sample gradient: the active set S and its (G_S, b_S),
+    re-formed only when S changes, with changes found through the watch
+    block (see the module docstring)."""
+
+    def __init__(self, batch: np.ndarray, labels: np.ndarray) -> None:
+        self.batch, self.labels = batch, labels
+        self.n, d = batch.shape
+        self.row_norms = np.linalg.norm(batch, axis=1)
+        self.pad = 4 * (d + 2) * np.finfo(float).eps
+        self.w_ref = np.zeros(d)
+        self.reach = -1.0  # squared certified radius; negative: none
+        self.active = None
+
+    def gradient(self, w: np.ndarray, hidden: tuple[float, ...]):
+        moved = w - self.w_ref
+        if moved.dot(moved) < self.reach:
+            pre = self.block.dot(w)
+            signs = (pre > self.doubt).tobytes()
+            # Equal only if no block row lies within the pad of zero.
+            if signs == (pre >= -self.doubt).tobytes():
+                if signs != self.watched:
+                    self.active[self.watch] = pre > 0.0
+                    self.watched = signs
+                    self._reform()
+                return _gram_gradient(w, hidden, self.n, self.gram, self.moment)
+            active = self.batch @ w > 0.0
+        else:
+            active = self._reference(w)
+        if self.active is None or (active != self.active).any():
+            self.active = active
+            self._reform()
+        if self.reach > 0.0:
+            self.watched = active[self.watch].tobytes()
+        return _gram_gradient(w, hidden, self.n, self.gram, self.moment)
+
+    def _reference(self, w: np.ndarray) -> np.ndarray:
+        """Make w the reference and return every row's sign at w. With
+        n <= _WATCH there is no block: every step tests every row."""
+        pre = self.batch @ w
+        self.reach = -1.0
+        if self.n > _WATCH:
+            margins = np.abs(pre) / self.row_norms
+            order = np.argpartition(margins, _WATCH)
+            norm = math.sqrt(w @ w)
+            radius = float(margins[order[_WATCH]]) * (1.0 - self.pad) - self.pad * norm
+            if radius > 0.0:
+                self.w_ref = w
+                self.reach = radius * radius
+                self.watch = order[:_WATCH]
+                self.block = self.batch[self.watch]
+                # Any w within the radius has |w| < norm + radius.
+                self.doubt = (self.pad * float(self.row_norms[self.watch].max())
+                              * (norm + radius))
+        return pre > 0.0
+
+    def _reform(self) -> None:
+        self.gram, self.moment = _active_gram(self.batch, self.labels, self.active)
 
 
 def _descend(
@@ -143,36 +249,34 @@ def run_gd(config: NeuronConfig, init: WeightState, dc: DescentConfig) -> Trajec
 
     Trajectory times are step indices. Empirical mode draws its dataset once
     from dc.seed, computes the teacher's labels on it once, and never
-    resamples. Either mode's steps go through the same gradient kernel and
-    update as `gd_step`, so a fold of `gd_step` over the same inputs records
-    the same states bit for bit. Raises DivergenceError when a hidden scalar
+    resamples; it re-forms the active set's Gram data only when a row changes
+    sign. Either mode's steps go through the same gradient kernel and update
+    as `gd_step`, so a fold of `gd_step` over the same inputs records the
+    same states bit for bit. Raises DivergenceError when a hidden scalar
     reaches zero or the weight norm is not finite or exceeds 1e12.
     """
     population_gradient(config, init)  # validates shapes/positivity once
     if dc.mode == "empirical":
         rng = np.random.default_rng(np.random.SeedSequence(dc.seed))
         batch = rng.standard_normal((dc.n_samples, config.d))
-        labels = _teacher_labels(config, batch)
-
-        def gradient(w, hidden):
-            return _sample_gradient(w, hidden, batch, labels)
+        gradient = _ActiveSet(batch, _teacher_labels(config, batch)).gradient
     else:
         def gradient(w, hidden):
             return _gradient(config, w, hidden)
 
-    w, hidden = init.w, init.hidden
+    w, hidden, eta, every, steps = init.w, init.hidden, dc.eta, dc.record_every, dc.steps
     times = [0.0]
     states = [polar_of(config, init)]
     losses = [population_loss(config, init)]
     wstates = [init]
-    for k in range(dc.steps):
-        w, hidden = _descend(w, hidden, dc.eta, *gradient(w, hidden))
-        norm = math.sqrt(w @ w)
+    for k in range(1, steps + 1):
+        w, hidden = _descend(w, hidden, eta, *gradient(w, hidden))
+        norm = math.sqrt(w.dot(w))
         if not math.isfinite(norm) or norm > _BLOWUP:
-            raise DivergenceError(f"weight norm {norm} blew up at step {k + 1}")
-        if (k + 1) % dc.record_every == 0 or k + 1 == dc.steps:
+            raise DivergenceError(f"weight norm {norm} blew up at step {k}")
+        if k % every == 0 or k == steps:
             state = WeightState(w, hidden)
-            times.append(float(k + 1))
+            times.append(float(k))
             states.append(polar_of(config, state))
             losses.append(population_loss(config, state))
             wstates.append(state)
@@ -198,8 +302,8 @@ def gd_error_scaling(
     """
     if not 0.0 < c < math.inf:
         raise DomainError(f"decay rate c must be positive and finite, got {c}")
-    if horizon <= 0:
-        raise DomainError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise DomainError(f"horizon must be positive and finite, got {horizon}")
     if not etas:
         raise DomainError("need at least one step size")
     out = []
@@ -238,8 +342,8 @@ def stopping_time(env: BoundEnvelope, eta: float, eps: float) -> int:
     """
     if env.kind != "angle":
         raise DomainError("stopping times come from angle envelopes")
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not eps > 0.0:
+        raise DomainError(f"eps must be positive, got {eps}")
     band = _band_forms(env)
     _certify_eta(eta, _threshold(band))
     rate = band.lower[0].c

@@ -91,7 +91,7 @@ def _unit(u: np.ndarray, name: str) -> np.ndarray:
 def _weighted_outer_sums(ind: np.ndarray, x: np.ndarray) -> tuple:
     """Chunk sums of ind x x^T and of its entrywise squares (ind is 0/1)."""
     xx = x * x
-    return np.einsum("n,ni,nj->ij", ind, x, x), np.einsum("n,ni,nj->ij", ind, xx, xx)
+    return (x * ind[:, None]).T @ x, (xx * ind[:, None]).T @ xx
 
 
 def _scalar_sums(y: np.ndarray) -> tuple:
@@ -207,8 +207,10 @@ def angle_concentration(d: int, eps: float, trials: int, seed: int) -> tuple[flo
         count = min(_CHUNK, left)
         u = rng.standard_normal((count, d))
         v = rng.standard_normal((count, d))
+        # Row norms by einsum: np.linalg.norm would square u and v into two
+        # more (count, d) temporaries.
         cos = np.einsum("ni,ni->n", u, v) / (
-            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+            np.sqrt(np.einsum("ni,ni->n", u, u)) * np.sqrt(np.einsum("ni,ni->n", v, v))
         )
         hits += int(np.count_nonzero(cos < eps))
         left -= count

@@ -184,7 +184,7 @@ def test_deep_magnitude_implicit_matches_high_precision_ode(m, vstar, eps, v0, t
         solve = mpmath.odefun(lambda _, u: -u**m * (u ** (m + 1) - a) / 2, 0, mpmath.mpf(v0))
         want = float(solve(mpmath.mpf(tau)))
     got = frozen_gap_magnitude_implicit(m, vstar, eps, v0, tau)
-    assert got == pytest.approx(want, rel=1e-13)
+    assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_deep_magnitude_implicit_rejects_m1():

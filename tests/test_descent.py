@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 from reluflow.bounds import BoundEnvelope, envelope_curve
 from reluflow.descent import (
     DescentConfig,
+    _active_gram,
+    _gram_gradient,
+    _teacher_labels,
     eta_threshold,
     gd_error_scaling,
     gd_step,
@@ -134,20 +137,32 @@ def test_bridge_rejects_non_finite_eta():
             stopping_time(env, eta, 1e-2)
         with pytest.raises(DomainError):
             gd_error_scaling(1.0, lambda x: 0.8 * x, lambda w: -w, (1e-3, eta), 1.0)
+    with pytest.raises(DomainError):
+        stopping_time(env, 1e-3, math.nan)
+    for horizon in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            gd_error_scaling(1.0, lambda x: 0.8 * x, lambda w: -w, (1e-3,), horizon)
 
 
 @pytest.mark.parametrize(
-    "m,mode",
-    [pytest.param(m, "empirical", id=str(m)) for m in (0, 1, 2)]
-    + [pytest.param(m, "population", id=f"population-{m}") for m in (0, 1, 2)],
+    "m,mode,n,seed,phi0,min_flips",
+    [pytest.param(m, "empirical", 500, 11, 2.0, 0, id=str(m)) for m in (0, 1, 2)]
+    + [pytest.param(m, "population", 500, 11, 2.0, 0, id=f"population-{m}") for m in (0, 1, 2)]
+    + [pytest.param(m, "empirical", 1000, 11, 0.6, 100, id=f"high-flip-{m}") for m in (0, 1)]
+    # data seed 12: the first rows are active at the start, so n = 1 moves
+    + [pytest.param(1, "empirical", n, 12, 2.0, 0, id=f"n={n}") for n in (1, 2, 64, 65)],
 )
-def test_empirical_run_equals_a_fold_of_gd_step(m, mode):
-    """run_gd's loop (raw state; in empirical mode labels computed once)
-    records exactly the states a fold of the public gd_step gives on the same
-    data, or on the population gradient."""
-    cfg, init = make_problem(m, d=6, v0=0.8, phi0=2.0, seed=m)
-    dc = DescentConfig(eta=0.02, steps=300, mode=mode, n_samples=500,
-                       seed=11, record_every=40)
+def test_empirical_run_equals_a_fold_of_gd_step(m, mode, n, seed, phi0, min_flips):
+    """run_gd's loop (raw state; in empirical mode labels computed once, the
+    active set's Gram data re-formed only when a sign changes, sign changes
+    found through the watch block) records exactly the states a fold of the
+    public gd_step gives on the same data, or on the population gradient.
+    The high-flip runs turn the student far enough that at least 100 rows
+    change sign; with n <= 64 every step tests every row, and with n = 65
+    the watch block holds all rows but one."""
+    cfg, init = make_problem(m, d=6, v0=0.8, phi0=phi0, seed=m)
+    dc = DescentConfig(eta=0.02, steps=300, mode=mode, n_samples=n,
+                       seed=seed, record_every=40)
     traj = run_gd(cfg, init, dc)
     batch = None
     if mode == "empirical":
@@ -163,6 +178,42 @@ def test_empirical_run_equals_a_fold_of_gd_step(m, mode):
     for got, ref in zip(traj.weight_states, want):
         assert np.array_equal(got.w, ref.w)
         assert got.hidden == ref.hidden
+    if min_flips:
+        flips = np.count_nonzero((batch @ want[0].w > 0) != (batch @ want[-1].w > 0))
+        assert flips >= min_flips
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("near_teacher", [False, True], ids=["far", "near-teacher"])
+def test_gram_gradient_matches_per_sample_oracle(m, near_teacher):
+    """The Gram kernel against the per-sample gradient of
+    (1/2n) sum_i (p relu(x_i.w) - y_i)^2, summed exactly with math.fsum.
+    Near the teacher p G_S w and b_S cancel to about 1 part in 100."""
+    cfg, init = make_problem(m, d=7, v0=0.8, phi0=2.0, seed=m)
+    rng = np.random.default_rng(5 + m)
+    batch = rng.standard_normal((300, cfg.d))
+    labels = _teacher_labels(cfg, batch)
+    w, hidden = init.w, init.hidden
+    if near_teacher:
+        w = cfg.target_w + 1e-2 * rng.standard_normal(cfg.d)
+        hidden = (1.0,) * m
+    p = math.prod(hidden)
+    n = batch.shape[0]
+    pre = [float(x @ w) for x in batch]
+    err = [p * max(z, 0.0) - y for z, y in zip(pre, labels.tolist())]
+    want_w = np.array([
+        p / n * math.fsum(e * x[j] for e, z, x in zip(err, pre, batch) if z > 0)
+        for j in range(cfg.d)
+    ])
+    shared = math.fsum(e * max(z, 0.0) for e, z in zip(err, pre)) / n
+    want_h = np.array([p / v * shared for v in hidden])
+    gram, moment = _active_gram(batch, labels, batch @ w > 0.0)
+    got_w, got_h = _gram_gradient(w, hidden, n, gram, moment)
+    if near_teacher:
+        assert np.linalg.norm(want_w) < 0.05 * p * p / n * np.linalg.norm(gram @ w)
+    assert np.linalg.norm(got_w - want_w) <= 1e-12 * np.linalg.norm(want_w)
+    assert np.linalg.norm(got_h - want_h) <= 1e-12 * np.linalg.norm(want_h)
+    assert got_h.shape == (m,)
 
 
 # ----------------------------------------------------------------
@@ -299,7 +350,7 @@ def test_gd_bounds_one_layer_small_norm_lower():
     eta, T = 1e-2, 400
     lo, _ = band_at(env, T, eta)
     want = (1 - env.eps0) * (1 - (1 - eta / 2) ** T) * 1.5
-    assert lo == pytest.approx(want, rel=1e-13)
+    assert lo == pytest.approx(want, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("m,vstar", [(0, 1.0), (1, 0.9)])

@@ -95,7 +95,7 @@ def test_vector_rhs_stationary_at_target():
 # the alignment-gap function
 
 def test_epsilon_gap_reference():
-    assert epsilon_gap(math.pi / 2) == pytest.approx(1.0 - 1.0 / math.pi, rel=1e-15)
+    assert epsilon_gap(math.pi / 2) == pytest.approx(1.0 - 1.0 / math.pi, rel=1e-15, abs=0)
     assert epsilon_gap(math.pi) == 0.0
 
 

@@ -191,7 +191,7 @@ def test_balanced_scalar_gradients_equal():
     w = rng.standard_normal(5)
     state = WeightState(w, (float(np.linalg.norm(w)),) * 2)
     _, gh = population_gradient(cfg, state)
-    assert gh[0] == pytest.approx(gh[1], rel=1e-13)
+    assert gh[0] == pytest.approx(gh[1], rel=1e-13, abs=0)
 
 
 def test_gradient_rejects_nonpositive_hidden():
