@@ -133,8 +133,6 @@ class EnvelopeReport:
 
     passed: bool
     worst_margin: float
-    worst_time: float
-    n_checked: int
     times: np.ndarray
     values: np.ndarray
     lowers: np.ndarray
@@ -476,8 +474,6 @@ def check_envelope(
     return EnvelopeReport(
         passed=bool(margins[worst] <= slack),
         worst_margin=float(margins[worst]),
-        worst_time=float(times[worst]),
-        n_checked=len(times),
         times=times,
         values=values,
         lowers=lowers,

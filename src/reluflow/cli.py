@@ -5,13 +5,19 @@ Examples::
     reluflow list-experiments
     reluflow run --config configs/angle-m0-small.cfg --seed 7
     reluflow run --config a.cfg --config b.cfg --jobs 2 --out runs/batch
-    reluflow reanchor --config configs/reanchor-m1.cfg --anchors 0,120,250,500
-    reluflow verify --n 1000000
+    reluflow run --config configs/reanchor-m1.cfg --out runs/reanchor
+    reluflow run --config configs/lemma-verify.cfg --seed 0
+
+Every run starts from a config file; the experiment and its settings are
+config keys. Re-anchored bands are the ``reanchor`` experiment, with the
+anchor steps under its ``anchors`` key; the Monte Carlo moment check is
+``lemma-verify``, with the dimension under ``d`` and the samples per
+estimate under ``n``.
 
 Exit status is 0 exactly when every check in every run passed, 1 when some
-check failed, 2 on a configuration error, and 3 when a run failed
-numerically (a trajectory diverged, an iteration did not converge, or no
-evaluation path exists).
+check failed, 2 on a configuration or usage error, and 3 when a run failed:
+a trajectory diverged, an iteration did not converge, no evaluation path
+exists, or a routine was handed an argument outside its domain.
 """
 from __future__ import annotations
 
@@ -21,7 +27,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConvergenceError, DivergenceError, UnavailableError
+from .errors import (ConfigError, ConvergenceError, DimensionError, DivergenceError,
+                     DomainError, UnavailableError)
 from .experiments import (
     EXPERIMENTS,
     ExperimentResult,
@@ -56,21 +63,7 @@ def _report(res: ExperimentResult) -> bool:
     return res.passed
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument(
-        "--paper-scale",
-        action="store_true",
-        help="use the full-size problem settings instead of the fast desk defaults",
-    )
-    p.add_argument(
-        "--out",
-        default=None,
-        help="output directory (treated as a base dir when several configs run)",
-    )
-
-
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reluflow",
         description="single-ReLU-neuron training dynamics: runs, bands, checks",
@@ -86,51 +79,30 @@ def main(argv: list[str] | None = None) -> int:
         help="config file; repeat to run several",
     )
     p_run.add_argument("--jobs", type=int, default=1, help="parallel processes")
-    _add_common(p_run)
-
-    p_re = sub.add_parser(
-        "reanchor", help="descent run with magnitude bands re-anchored mid-run"
+    p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_run.add_argument(
+        "--paper-scale",
+        action="store_true",
+        help="use the full-size problem settings instead of the fast desk defaults",
     )
-    p_re.add_argument("--config", required=True, metavar="PATH")
-    p_re.add_argument(
-        "--anchors", default=None, help="comma-separated anchor steps, e.g. 0,120,250"
+    p_run.add_argument(
+        "--out",
+        default=None,
+        help="output directory (treated as a base dir when several configs run)",
     )
-    _add_common(p_re)
-
-    p_ver = sub.add_parser(
-        "verify", help="Monte Carlo check of the Gaussian moment closed forms"
-    )
-    p_ver.add_argument("--d", type=int, default=5, help="ambient dimension")
-    p_ver.add_argument("--n", type=int, default=1_000_000, help="samples per estimate")
-    _add_common(p_ver)
 
     sub.add_parser("list-experiments", help="list the available experiment kinds")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "list-experiments":
             width = max(map(len, EXPERIMENTS))
             for name in sorted(EXPERIMENTS):
                 print(f"{name:<{width}}  {EXPERIMENTS[name].description}")
             return 0
-        if args.command == "verify":
-            # Default stream 1: a per-entry 3-sigma criterion over ~100 matrix
-            # entries has a sizeable false-alarm rate for an arbitrary stream,
-            # so the stock invocation pins one that satisfies the convention.
-            cfg = RunConfig(
-                experiment="lemma-verify",
-                d=args.d,
-                n=args.n,
-                seed=args.seed if args.seed is not None else 1,
-                output_dir=args.out,
-                paper_scale=args.paper_scale,
-            )
-            return 0 if _report(run_experiment(cfg)) else 1
-        if args.command == "reanchor":
-            cfg = replace(_load(args.config, args, multi=False), experiment="reanchor")
-            if args.anchors:
-                cfg = replace(cfg, anchors=tuple(int(a) for a in args.anchors.split(",")))
-            return 0 if _report(run_experiment(cfg)) else 1
         cfgs = [_load(p, args, multi=len(args.config) > 1) for p in args.config]
         if args.jobs > 1 and len(cfgs) > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as ex:
@@ -139,10 +111,11 @@ def main(argv: list[str] | None = None) -> int:
             results = [run_experiment(c) for c in cfgs]
         flags = [_report(r) for r in results]
         return 0 if all(flags) else 1
-    except ValueError as exc:  # ConfigError and DomainError included
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, ConvergenceError, UnavailableError) as exc:
+    except (DomainError, DimensionError, ConvergenceError, DivergenceError,
+            UnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -117,6 +117,8 @@ _SCALE_RATIO = {"small": 0.1, "middle": 1.0, "large": 2.0}
 _SAMPLES = 400  # about this many samples are recorded per run
 
 _INT_KEYS = {"m", "d", "n", "steps", "seed"}
+# Smallest value of each count a run can use; every float key must be > 0.
+_INT_MIN = {"m": 0, "d": 1, "n": 2, "steps": 0}
 _FLOAT_KEYS = {"eta", "dt", "t_end", "target_scale", "eps"}
 _STR_KEYS = {"experiment", "output_dir"}
 
@@ -153,8 +155,6 @@ class RunConfig:
             raise ConfigError(
                 f"experiment {self.experiment!r} needs keys: {sorted(missing)}"
             )
-        if self.m is not None and self.m < 0:
-            raise ConfigError("m must be non-negative")
         if isinstance(self.init_scale, str) and self.init_scale not in _SCALE_RATIO:
             raise ConfigError(
                 f"init_scale must be one of {sorted(_SCALE_RATIO)} or an explicit variance"
@@ -163,6 +163,14 @@ class RunConfig:
             value = getattr(self, key)
             if isinstance(value, (int, float)) and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
+            if isinstance(value, (int, float)) and value <= 0:
+                raise ConfigError(f"{key} must be positive, got {value}")
+        for key, low in _INT_MIN.items():
+            value = getattr(self, key)
+            if value is not None and value < low:
+                raise ConfigError(f"{key} must be >= {low}, got {value}")
+        if self.anchors is not None and min(self.anchors, default=0) < 0:
+            raise ConfigError(f"anchors must be non-negative steps, got {self.anchors}")
 
 
 def parse_config_file(path: str | Path) -> RunConfig:
@@ -171,8 +179,12 @@ def parse_config_file(path: str | Path) -> RunConfig:
     Unknown keys and malformed values are rejected with file/line context.
     """
     path = Path(path)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -503,8 +515,6 @@ def _run_reanchor(cfg: RunConfig) -> _Outcome:
         raise ConfigError("re-anchored magnitude bands exist for m in {0, 1} only")
     defaults = _REANCHOR[m]
     anchors = tuple(sorted(int(a) for a in cfg.anchors or defaults["anchors"]))
-    if anchors[0] < 0:
-        raise ConfigError("anchors must be non-negative steps")
 
     _, n, _ = _resolve_scales(cfg)
     steps = cfg.steps if cfg.steps is not None else defaults["steps"]

@@ -1,10 +1,13 @@
 import dataclasses
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from reluflow import cli
 from reluflow.cli import main
 from reluflow.errors import ConfigError
 from reluflow.experiments import (
@@ -255,6 +258,8 @@ def test_cli_config_error_exits_two(tmp_path, capsys):
     p = write_cfg(tmp_path, "experiment = flow\nm = 1\nbogus = 3\n")
     assert main(["run", "--config", str(p)]) == 2
     assert "bogus" in capsys.readouterr().err
+    assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
+    assert "cannot read config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -262,8 +267,11 @@ def test_cli_config_error_exits_two(tmp_path, capsys):
     [
         "experiment = gd\nm = 1\ninit_scale = small\neta = 0.5\nsteps = 200\n",
         "experiment = deep-general\ninit_scale = large\neta = 5.0\nsteps = 50\n",
+        # A DomainError raised inside the run (the step size is past the
+        # band's threshold) is a failed run, not a bad config.
+        "experiment = stopping-time\neta = 1.0\n",
     ],
-    ids=["gd-divergence", "deep-general-blowup"],
+    ids=["gd-divergence", "deep-general-blowup", "stopping-time-eta-past-threshold"],
 )
 def test_cli_numerical_failure_exits_three(tmp_path, capsys, text):
     p = write_cfg(tmp_path, text)
@@ -272,17 +280,29 @@ def test_cli_numerical_failure_exits_three(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text,needle",
     [
-        "experiment = flow\nm = 1\nt_end = inf\n",
-        "experiment = figure-angle\nm = 0\ninit_scale = small\neta = nan\nsteps = 20\n",
+        ("experiment = flow\nm = 1\nt_end = inf\n", "must be finite"),
+        ("experiment = figure-angle\nm = 0\ninit_scale = small\neta = nan\nsteps = 20\n",
+         "must be finite"),
+        ("experiment = flow\nm = 1\nd = 0\n", "d must be >= 1"),
+        ("experiment = figure-angle\nm = 0\ninit_scale = -1\n", "init_scale must be positive"),
+        ("experiment = lemma-verify\nn = 1\n", "n must be >= 2"),
+        ("experiment = gd\nm = 1\nsteps = -5\n", "steps must be >= 0"),
+        ("experiment = reanchor\nm = 1\nanchors = 0,-10\n", "anchors must be non-negative"),
+        ("experiment = flow\nm = 1\ndt = 0\n", "dt must be positive"),
+        ("experiment = stopping-time\neps = -0.1\n", "eps must be positive"),
     ],
-    ids=["flow-t_end-inf", "figure-angle-eta-nan"],
+    ids=["flow-t_end-inf", "figure-angle-eta-nan", "flow-d-zero", "figure-angle-init_scale-negative",
+         "lemma-verify-n-one", "gd-steps-negative", "reanchor-anchor-negative", "flow-dt-zero",
+         "stopping-time-eps-negative"],
 )
-def test_cli_non_finite_value_exits_two(tmp_path, capsys, text):
+def test_cli_non_finite_value_exits_two(tmp_path, capsys, text, needle):
+    # Out-of-range values are config errors too: they are refused before the
+    # run starts, not left to fail inside it.
     p = write_cfg(tmp_path, text)
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
-    assert "must be finite" in capsys.readouterr().err
+    assert needle in capsys.readouterr().err
 
 
 def test_cli_run_and_seed_override(tmp_path, capsys):
@@ -295,9 +315,10 @@ def test_cli_run_and_seed_override(tmp_path, capsys):
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):
-    ok = main(["verify", "--n", "200000", "--out", str(tmp_path / "a")])
+    p = write_cfg(tmp_path, "experiment = lemma-verify\nn = 200000\nseed = 1\n")
+    ok = main(["run", "--config", str(p), "--out", str(tmp_path / "a")])
     assert ok == 0
-    bad = main(["verify", "--n", "200000", "--seed", "0", "--out", str(tmp_path / "b")])
+    bad = main(["run", "--config", str(p), "--seed", "0", "--out", str(tmp_path / "b")])
     assert bad == 1
     assert "failed:" in capsys.readouterr().out
 
@@ -305,12 +326,30 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
 def test_cli_reanchor_anchor_override(tmp_path, capsys):
     p = write_cfg(
         tmp_path,
-        "experiment = reanchor\nm = 1\nd = 8\nn = 400\neta = 1e-4\nsteps = 400\nseed = 1\n",
+        "experiment = reanchor\nm = 1\nd = 8\nn = 400\neta = 1e-4\nsteps = 400\nseed = 1\n"
+        "anchors = 0,50,150\n",
     )
-    code = main(
-        ["reanchor", "--config", str(p), "--anchors", "0,50,150",
-         "--out", str(tmp_path / "r")]
-    )
+    code = main(["run", "--config", str(p), "--out", str(tmp_path / "r")])
     capsys.readouterr()
     assert code in (0, 1)  # band membership is seed-dependent; artifacts are not
     assert (tmp_path / "r" / "bounds_anchor_150.csv").exists()
+
+
+def _documented_invocations(text: str) -> list[list[str]]:
+    prefixes = ("reluflow ", "python3 -m reluflow.cli ")
+    return [
+        shlex.split(line.strip())[len(prefix.split()):]
+        for line in text.splitlines()
+        for prefix in prefixes
+        if line.strip().startswith(prefix)
+    ]
+
+
+def test_documented_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for source, text in (("README.md", readme), ("reluflow.cli", cli.__doc__)):
+        argvs = _documented_invocations(text)
+        assert len(argvs) >= 3, source
+        for argv in argvs:
+            args = cli._parser().parse_args(argv)  # exits on an unknown command or flag
+            assert args.command in ("run", "list-experiments"), (source, argv)

@@ -5,6 +5,7 @@ import pytest
 
 from reluflow.errors import DimensionError, DomainError
 from reluflow.montecarlo import (
+    _CHUNK,
     McEstimate,
     angle_concentration,
     mc_double_wedge_moment,
@@ -110,6 +111,22 @@ def test_angle_concentration_vacuous_in_low_dimension():
     fraction, bound = angle_concentration(1, 0.1, 1_000, seed=0)
     assert bound < 0.0
     assert 0.0 <= fraction <= 1.0
+
+
+def test_angle_concentration_counts_every_trial_of_its_stream():
+    # 70,001 trials is one full chunk plus a short tail, so a dropped,
+    # doubled or re-drawn tail would move the fraction.
+    d, eps, trials, seed = 7, 0.2, 70_001, 13
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    hits = 0
+    for count in (_CHUNK, trials - _CHUNK):
+        u = rng.standard_normal((count, d))
+        v = rng.standard_normal((count, d))
+        cos = (u * v).sum(axis=1) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+        hits += int(np.count_nonzero(cos < eps))
+    fraction, bound = angle_concentration(d, eps, trials, seed)
+    assert fraction == hits / trials
+    assert bound == 1.0 - 2.0 * math.exp(-0.5 * d * eps * eps)
 
 
 def test_angle_concentration_rejects_tiny_trial_counts():
