@@ -14,12 +14,14 @@ warns above a tenth but still draws the band.
 
 `run_gd` trains the deep single-ReLU-neuron model itself, either on the
 population gradient (exact closed form) or on a fixed dataset drawn once
-(full-batch, realizable labels from the teacher). In both modes `run_gd`
-steps the raw (w, hidden) pair and one update rule applies the gradient:
-the population gradient through the population module's unchecked kernel,
-the sample gradient through the Gram kernel below. `gd_step` runs the same
-kernels. `gd_step` still validates its inputs on every call; `run_gd`
-validates once and builds a `WeightState` only at the steps it records.
+(full-batch, realizable labels from the teacher). `run_gd` supplies only
+its step to the flow module's `_march`, the loop the vector flow runs too,
+which validates the start once, guards every step and builds a
+`WeightState` only at the steps it records, at times k * 1.0 = k. The step
+applies one update rule to the raw (w, hidden) pair: the population
+gradient through the population module's unchecked kernel, or the sample
+gradient through the Gram kernel below. `gd_step` runs the same kernels and
+update but validates its inputs, and the signs of its result, on every call.
 
 The sample gradient reads the data only through the active set
 S = {i : x_i.w > 0}. With p the product of the hidden scalars,
@@ -56,22 +58,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .bounds import BoundEnvelope, _band_forms, _certify_eta, _check_eta, _threshold
 from .errors import DivergenceError, DomainError
-from .flow import _BLOWUP, Trajectory, _is_count
-from .population import (
-    NeuronConfig,
-    WeightState,
-    _check_state,
-    _gradient,
-    polar_of,
-    population_gradient,
-    population_loss,
-)
+from .flow import Trajectory, _is_count, _march
+from .population import NeuronConfig, WeightState, _check_state, _gradient, population_gradient
 
 
 @dataclass(frozen=True)
@@ -126,7 +121,10 @@ def gd_step(
         grad_w, grad_hidden = _sample_gradient(
             state.w, state.hidden, batch, _teacher_labels(config, batch)
         )
-    return WeightState(*_descend(state.w, state.hidden, eta, grad_w, grad_hidden))
+    new_w, new_hidden = _descend(state.w, state.hidden, eta, grad_w, grad_hidden)
+    if not all(v > 0.0 for v in new_hidden):
+        raise DivergenceError("a hidden scalar was driven to or below zero")
+    return WeightState(new_w, new_hidden)
 
 
 def _teacher_labels(config: NeuronConfig, batch: np.ndarray) -> np.ndarray:
@@ -229,18 +227,9 @@ class _ActiveSet:
         self.gram, self.moment = _active_gram(self.batch, self.labels, self.active)
 
 
-def _descend(
-    w: np.ndarray,
-    hidden: tuple[float, ...],
-    eta: float,
-    grad_w: np.ndarray,
-    grad_hidden: np.ndarray,
-) -> tuple[np.ndarray, tuple[float, ...]]:
-    new_w = w - eta * grad_w
-    new_hidden = tuple(v - eta * g for v, g in zip(hidden, grad_hidden.tolist()))
-    if not all(v > 0.0 for v in new_hidden):
-        raise DivergenceError("a hidden scalar was driven to or below zero")
-    return new_w, new_hidden
+def _descend(w: np.ndarray, hidden: tuple[float, ...], eta: float, grad_w: np.ndarray,
+             grad_hidden: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
+    return w - eta * grad_w, tuple(v - eta * g for v, g in zip(hidden, grad_hidden.tolist()))
 
 
 def run_gd(config: NeuronConfig, init: WeightState, dc: DescentConfig) -> Trajectory:
@@ -253,35 +242,21 @@ def run_gd(config: NeuronConfig, init: WeightState, dc: DescentConfig) -> Trajec
     sign. Either mode's steps go through the same gradient kernel and update
     as `gd_step`, so a fold of `gd_step` over the same inputs records the
     same states bit for bit. Raises DivergenceError when a hidden scalar
-    reaches zero or the weight norm is not finite or exceeds 1e12.
+    leaves (0, inf) or the weight norm is not finite or exceeds 1e12.
     """
-    population_gradient(config, init)  # validates shapes/positivity once
     if dc.mode == "empirical":
         rng = np.random.default_rng(np.random.SeedSequence(dc.seed))
         batch = rng.standard_normal((dc.n_samples, config.d))
         gradient = _ActiveSet(batch, _teacher_labels(config, batch)).gradient
     else:
-        def gradient(w, hidden):
-            return _gradient(config, w, hidden)
+        gradient = partial(_gradient, config)
 
-    w, hidden, eta, every, steps = init.w, init.hidden, dc.eta, dc.record_every, dc.steps
-    times = [0.0]
-    states = [polar_of(config, init)]
-    losses = [population_loss(config, init)]
-    wstates = [init]
-    for k in range(1, steps + 1):
-        w, hidden = _descend(w, hidden, eta, *gradient(w, hidden))
-        norm = math.sqrt(w.dot(w))
-        if not math.isfinite(norm) or norm > _BLOWUP:
-            raise DivergenceError(f"weight norm {norm} blew up at step {k}")
-        if k % every == 0 or k == steps:
-            state = WeightState(w, hidden)
-            times.append(float(k))
-            states.append(polar_of(config, state))
-            losses.append(population_loss(config, state))
-            wstates.append(state)
-    return Trajectory(np.array(times), states, losses=np.array(losses),
-                      weight_states=wstates)
+    eta = dc.eta
+
+    def step(w, hidden):
+        return _descend(w, hidden, eta, *gradient(w, hidden))
+
+    return _march(config, init, dc.steps, dc.record_every, 1.0, step)
 
 
 def gd_error_scaling(

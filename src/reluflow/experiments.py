@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -59,7 +59,7 @@ from .descent import (
     run_gd,
     stopping_time,
 )
-from .errors import ConfigError, DegenerateAngleError, DivergenceError
+from .errors import ConfigError, DivergenceError
 from .flow import _BLOWUP, FlowSpec, Trajectory, integrate_polar
 from .montecarlo import (
     angle_concentration,
@@ -118,9 +118,11 @@ _SAMPLES = 400  # about this many samples are recorded per run
 
 _INT_KEYS = {"m", "d", "n", "steps", "seed"}
 # Smallest value of each count a run can use; every float key must be > 0.
-_INT_MIN = {"m": 0, "d": 1, "n": 2, "steps": 0}
+_INT_MIN = {"m": 0, "d": 1, "n": 2, "steps": 0, "seed": 0}
 _FLOAT_KEYS = {"eta", "dt", "t_end", "target_scale", "eps"}
 _STR_KEYS = {"experiment", "output_dir"}
+# Keys every experiment accepts; any other key set must be one its runner reads.
+_EVERYWHERE = frozenset({"experiment", "seed", "output_dir", "paper_scale"})
 
 
 @dataclass(frozen=True)
@@ -148,13 +150,15 @@ class RunConfig:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; known: {sorted(EXPERIMENTS)}"
             )
-        missing = EXPERIMENTS[self.experiment].required - {
-            k for k in ("m", "init_scale") if getattr(self, k) is not None
-        }
+        spec = EXPERIMENTS[self.experiment]
+        missing = sorted(k for k in spec.required if getattr(self, k) is None)
         if missing:
-            raise ConfigError(
-                f"experiment {self.experiment!r} needs keys: {sorted(missing)}"
-            )
+            raise ConfigError(f"experiment {self.experiment!r} needs keys: {missing}")
+        legal = _EVERYWHERE | spec.reads
+        unread = [f.name for f in fields(self)
+                  if f.name not in legal and getattr(self, f.name) is not None]
+        if unread:
+            raise ConfigError(f"experiment {self.experiment!r} does not read keys: {unread}")
         if isinstance(self.init_scale, str) and self.init_scale not in _SCALE_RATIO:
             raise ConfigError(
                 f"init_scale must be one of {sorted(_SCALE_RATIO)} or an explicit variance"
@@ -171,6 +175,11 @@ class RunConfig:
                 raise ConfigError(f"{key} must be >= {low}, got {value}")
         if self.anchors is not None and min(self.anchors, default=0) < 0:
             raise ConfigError(f"anchors must be non-negative steps, got {self.anchors}")
+        if self.anchors is not None and len(set(self.anchors)) < len(self.anchors):
+            raise ConfigError(f"anchors must be distinct steps, got {self.anchors}")
+        if self.experiment == "lemma-verify" and self.d is not None and self.d < 2:
+            raise ConfigError(f"d must be >= 2 for lemma-verify (two unit vectors in "
+                              f"R^1 are parallel or antiparallel), got {self.d}")
 
 
 def parse_config_file(path: str | Path) -> RunConfig:
@@ -234,10 +243,9 @@ def _write_trajectory(outdir: Path, rows: list[tuple[float, float, float, float]
 
 
 def _trajectory_rows(traj: Trajectory) -> list[tuple[float, float, float, float]]:
-    losses = traj.losses if traj.losses is not None else np.full(len(traj.times), math.nan)
     return [
         (float(t), s.magnitude, s.angle, float(l))
-        for t, s, l in zip(traj.times, traj.states, losses)
+        for t, s, l in zip(traj.times, traj.states, traj.losses)
     ]
 
 
@@ -577,16 +585,11 @@ def _run_lemma_verify(cfg: RunConfig) -> _Outcome:
     kids = [int(c.generate_state(1)[0])
             for c in np.random.SeedSequence(cfg.seed).spawn(7)]
     rng = np.random.default_rng(np.random.SeedSequence(kids[0]))
-    while True:
-        u = rng.standard_normal(d)
-        v = rng.standard_normal(d)
-        u /= np.linalg.norm(u)
-        v /= np.linalg.norm(v)
-        try:
-            wedge = double_wedge_second_moment(u, v)
-            break
-        except DegenerateAngleError:  # pragma: no cover - measure zero
-            continue
+    u = rng.standard_normal(d)
+    v = rng.standard_normal(d)
+    u /= np.linalg.norm(u)
+    v /= np.linalg.norm(v)
+    wedge = double_wedge_second_moment(u, v)
     theta = math.acos(float(np.clip(u @ v, -1.0, 1.0)))
     half = half_space_second_moment(u)
     prod = relu_product_moment(theta)
@@ -791,43 +794,53 @@ def _run_deep_general(cfg: RunConfig) -> _Outcome:
 
 class Experiment(NamedTuple):
     """A registered experiment kind: what it does, the config keys it cannot
-    default, and the runner that executes it."""
+    default, every key its runner reads (seed, output_dir and paper_scale
+    apply to all), and the runner that executes it."""
 
     description: str
     required: frozenset[str]
+    reads: frozenset[str]
     run: Callable[[RunConfig], _Outcome]
 
+
+# The keys _draw_problem reads, plus the depth.
+_PROBLEM_KEYS = frozenset({"m", "d", "init_scale", "target_scale"})
+_DESCENT_KEYS = _PROBLEM_KEYS | {"n", "steps", "eta"}
 
 EXPERIMENTS: dict[str, Experiment] = {
     "flow": Experiment(
         "integrate the reduced flow and check it against its analytic bands",
-        frozenset({"m"}), _run_flow),
+        frozenset({"m"}), _PROBLEM_KEYS | {"t_end", "dt"}, _run_flow),
     "gd": Experiment(
         "full-batch descent on sampled data, checked against descent-side bands",
-        frozenset({"m"}),
+        frozenset({"m"}), _DESCENT_KEYS,
         lambda cfg: _run_descent_figure(
             cfg, ["magnitude", "angle"] if int(cfg.m) <= 1 else ["angle"])),
     "figure-angle": Experiment(
         "angle dynamics of descent inside its analytic band",
-        frozenset({"m", "init_scale"}), lambda cfg: _run_descent_figure(cfg, ["angle"])),
+        frozenset({"m", "init_scale"}), _DESCENT_KEYS,
+        lambda cfg: _run_descent_figure(cfg, ["angle"])),
     "figure-magnitude": Experiment(
         "magnitude dynamics of descent inside its analytic band (m <= 1)",
-        frozenset({"m", "init_scale"}), lambda cfg: _run_descent_figure(cfg, ["magnitude"])),
+        frozenset({"m", "init_scale"}), _DESCENT_KEYS,
+        lambda cfg: _run_descent_figure(cfg, ["magnitude"])),
     "reanchor": Experiment(
         "descent magnitude bands re-anchored along the run; bands must tighten",
-        frozenset({"m"}), _run_reanchor),
+        frozenset({"m"}), _DESCENT_KEYS | {"anchors"}, _run_reanchor),
     "lemma-verify": Experiment(
         "Monte Carlo verification of the Gaussian moment closed forms",
-        frozenset(), _run_lemma_verify),
+        frozenset(), frozenset({"d", "n"}), _run_lemma_verify),
     "error-scaling": Experiment(
         "flow-vs-descent substitution error as a function of step size",
-        frozenset(), _run_error_scaling),
+        frozenset(), frozenset({"t_end"}), _run_error_scaling),
     "stopping-time": Experiment(
         "certified step count, then a run that must beat it",
-        frozenset(), _run_stopping_time),
+        frozenset(), _PROBLEM_KEYS | {"eta", "eps"}, _run_stopping_time),
     "deep-general": Experiment(
         "depth-5 ReLU network; parameter norm must move monotonically",
-        frozenset({"init_scale"}), _run_deep_general),
+        frozenset({"init_scale"}),
+        frozenset({"init_scale", "d", "n", "steps", "eta", "target_scale"}),
+        _run_deep_general),
 }
 
 

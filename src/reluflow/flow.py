@@ -27,11 +27,20 @@ phi comes from acos(cos theta), which near alignment is good to only about
 Integration is classic fixed-step fourth-order Runge-Kutta: the step-halving
 order checks in the test suite and the tight envelope tolerances rely on a
 deterministic, constant-step scheme.
+
+The full-space flow and descent, its Euler discretisation, share one loop,
+`_march`. It validates the start once, advances the raw (w, hidden) pair
+by the step it is given, requires after every step a finite weight norm of
+at most 1e12 and every hidden scalar in (0, inf), records step 0, every
+k-th step and the last at time k h, and builds the Trajectory.
+`integrate_vector` gives it one RK4 step of length h, bit for bit classic
+RK4 on `vector_rhs`; `run_gd` gives it one descent step, with h = 1.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -154,17 +163,18 @@ class FlowSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled path of a run: times, reduced states, optional channels.
+    """Sampled path of a run: times, reduced states, losses and, optionally,
+    full states.
 
     times[0] is always 0 (the initial state is always recorded); times are
     strictly increasing. For flow runs they are real times, for descent runs
-    step indices. weight_states, when kept, holds the full parameters at the
-    same sample points.
+    step indices. losses holds the population loss at each sample;
+    weight_states, when kept, the full parameters at the same sample points.
     """
 
     times: np.ndarray
     states: list[PolarState]
-    losses: np.ndarray | None = None
+    losses: np.ndarray
     weight_states: list[WeightState] | None = None
 
     def __post_init__(self) -> None:
@@ -176,11 +186,10 @@ class Trajectory:
             raise DomainError("a trajectory must start at time 0")
         if np.any(np.diff(times) <= 0):
             raise DomainError("times must be strictly increasing")
-        if self.losses is not None:
-            losses = np.asarray(self.losses, dtype=float)
-            if losses.shape != times.shape:
-                raise DomainError("losses channel must align with times")
-            object.__setattr__(self, "losses", losses)
+        losses = np.asarray(self.losses, dtype=float)
+        if losses.shape != times.shape:
+            raise DomainError("losses channel must align with times")
+        object.__setattr__(self, "losses", losses)
 
     @property
     def magnitudes(self) -> np.ndarray:
@@ -261,6 +270,27 @@ def integrate_polar(spec: FlowSpec, sample_every: int = 1) -> Trajectory:
     return Trajectory(np.array(times), states, losses=np.array(losses))
 
 
+def _march(config: NeuronConfig, init: WeightState, steps: int, every: int, h: float,
+           advance: Callable) -> Trajectory:
+    """The loop of the full-space paths (see the module docstring): `advance`
+    takes the raw (w, hidden) pair one step of length h ahead."""
+    population_gradient(config, init)  # validates the start once
+    w, hidden = init.w, init.hidden
+    times, kept = [0.0], [init]
+    for k in range(1, steps + 1):
+        w, hidden = advance(w, hidden)
+        norm = math.sqrt(w.dot(w))
+        if not norm <= _BLOWUP:  # NaN fails it too
+            raise DivergenceError(f"weight norm {norm} blew up at t={k * h}")
+        if not all(0.0 < v < math.inf for v in hidden):
+            raise DivergenceError(f"a hidden scalar left (0, inf) at t={k * h}")
+        if k % every == 0 or k == steps:
+            times.append(k * h)
+            kept.append(WeightState(w, hidden))
+    return Trajectory(np.array(times), [polar_of(config, s) for s in kept],
+                      np.array([population_loss(config, s) for s in kept]), kept)
+
+
 def integrate_vector(
     config: NeuronConfig,
     init: WeightState,
@@ -276,47 +306,24 @@ def integrate_vector(
     """
     _check_sample_every(sample_every)
     _check_horizon(dt, t_end)
-    # Validate the initial state through the checked ops once.
-    population_gradient(config, init)
-
     d = config.d
-    y = np.concatenate([init.w, np.array(init.hidden, dtype=float)])
     n_steps = max(1, round(t_end / dt))
     h = t_end / n_steps
-    slopes = np.empty((4, len(y)))
+    slopes = np.empty((4, d + config.m))
 
     def grad(y: np.ndarray, out: np.ndarray) -> np.ndarray:
         out[:d], out[d:] = _gradient(config, y[:d], y[d:].tolist())
         return out
 
-    def snapshot() -> tuple[PolarState, float, WeightState]:
-        state = WeightState(y[:d].copy(), tuple(y[d:]))
-        return polar_of(config, state), population_loss(config, state), state
-
-    times = [0.0]
-    polar0, loss0, w0 = snapshot()
-    states = [polar0]
-    losses = [loss0]
-    weights = [w0]
-
     # RK4 on y' = -grad, with the minus sign carried into each update: IEEE
     # negation is exact, so this is RK4 on vector_rhs bit for bit.
-    for k in range(n_steps):
+    def rk4(w: np.ndarray, hidden: tuple[float, ...]) -> tuple[np.ndarray, tuple[float, ...]]:
+        y = np.concatenate([w, hidden])
         g1 = grad(y, slopes[0])
         g2 = grad(y - (0.5 * h) * g1, slopes[1])
         g3 = grad(y - (0.5 * h) * g2, slopes[2])
         g4 = grad(y - h * g3, slopes[3])
         y = y - (h / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
-        t = (k + 1) * h
-        if not np.all(np.isfinite(y)) or float(np.linalg.norm(y[:d])) > _BLOWUP:
-            raise DivergenceError(f"full flow blew up at t={t}")
-        if config.m and np.any(y[d:] <= 0.0):
-            raise DivergenceError(f"a hidden scalar crossed zero at t={t}")
-        if (k + 1) % sample_every == 0 or k + 1 == n_steps:
-            polar, loss, wstate = snapshot()
-            times.append(t)
-            states.append(polar)
-            losses.append(loss)
-            weights.append(wstate)
+        return y[:d], tuple(y[d:].tolist())
 
-    return Trajectory(np.array(times), states, losses=np.array(losses), weight_states=weights)
+    return _march(config, init, n_steps, sample_every, h, rk4)

@@ -4,7 +4,9 @@ either way must exist, or the benchmark only finds out when its operations
 fail. The demos, which only run by hand, are held to the same."""
 import ast
 import importlib
+import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -87,3 +89,22 @@ def test_demos_import_existing_names():
                 assert not missing, f"{path.name} imports names that are gone: {missing}"
                 checked += len(node.names)
     assert checked
+
+
+def test_dynamics_workload_runs_one_shallow_and_one_deep_problem(monkeypatch):
+    """The names above can all exist while a result attribute the workload
+    reads (``.states``, ``.magnitudes``, ``.passed``, ``.lowers``) is gone,
+    which would show only as failed benchmark operations. So run the
+    workload's own per-problem step on the first m = 0 and the first m = 2
+    problem of its default bank."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    dynamics = workloads.Dynamics()
+    bank = dynamics.setup(WORKLOADS.parents[1], None)
+    for m in (0, 2):
+        i = next(i for i, pb in enumerate(bank) if pb.m == m)
+        res = workloads.PassResult()
+        assert dynamics._one(i, bank[i], res) == [], f"m={m}"
+        assert res.outputs

@@ -254,7 +254,7 @@ def test_check_envelope_passes_on_matching_flow(one_layer_traj):
 def test_check_envelope_flags_violations(one_layer_traj):
     traj = one_layer_traj
     flat = PolarState(traj.magnitudes[0], math.pi / 4)
-    fake = type(traj)(traj.times, [flat] * len(traj.times))
+    fake = type(traj)(traj.times, [flat] * len(traj.times), traj.losses)
     env = ang_env(0, 1.0, math.pi / 2, 0.4, r=0.1, R=2.0)
     rep = check_envelope(fake, env, 1e-6)
     assert not rep.passed

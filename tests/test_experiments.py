@@ -32,15 +32,15 @@ def test_parse_minimal_config(tmp_path):
     p = write_cfg(
         tmp_path,
         "# flow sanity run\n"
-        "experiment = flow   # trailing comments are fine\n"
+        "experiment = reanchor   # trailing comments are fine\n"
         "m = 1\n"
-        "t_end = 2.0\n"
+        "eta = 2.0\n"
         "anchors = 0,100,200\n",
     )
     cfg = parse_config_file(p)
-    assert cfg.experiment == "flow"
+    assert cfg.experiment == "reanchor"
     assert cfg.m == 1
-    assert cfg.t_end == 2.0
+    assert cfg.eta == 2.0
     assert cfg.anchors == (0, 100, 200)
     assert cfg.seed == 0
 
@@ -75,6 +75,35 @@ def test_parse_errors_name_the_line(tmp_path):
     p = write_cfg(tmp_path, "experiment = flow\nm = 1\nbogus = 3\n")
     with pytest.raises(ConfigError, match=rf"{p.name}:3"):
         parse_config_file(p)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_shipped_configs_parse():
+    """The benchmark's grid runs every shipped config; one it refuses would
+    fail every run after it there, so tier-1 parses them all."""
+    paths = sorted(CONFIGS.glob("*.cfg"))
+    assert len(paths) == 24
+    for path in paths:
+        assert parse_config_file(path).experiment in EXPERIMENTS, path.name
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_seed_out_and_paper_scale_are_legal_everywhere(name):
+    # --seed, --out and --paper-scale apply to every config of a run.
+    needs = {"m": 1, "init_scale": "small"}
+    keys = {k: needs[k] for k in EXPERIMENTS[name].required}
+    assert set(keys) <= EXPERIMENTS[name].reads
+    RunConfig(experiment=name, seed=3, output_dir="o", paper_scale=True, **keys)
+
+
+def test_lemma_verify_refuses_one_dimension():
+    # Two unit vectors in R^1 are parallel or antiparallel, so the run would
+    # redraw its degenerate pair forever.
+    with pytest.raises(ConfigError, match="d must be >= 2"):
+        RunConfig(experiment="lemma-verify", d=1)
+    RunConfig(experiment="lemma-verify", d=2)
 
 
 def test_registry_lists_every_kind():
@@ -292,10 +321,16 @@ def test_cli_numerical_failure_exits_three(tmp_path, capsys, text):
         ("experiment = reanchor\nm = 1\nanchors = 0,-10\n", "anchors must be non-negative"),
         ("experiment = flow\nm = 1\ndt = 0\n", "dt must be positive"),
         ("experiment = stopping-time\neps = -0.1\n", "eps must be positive"),
+        ("experiment = flow\nm = 1\nseed = -1\n", "seed must be >= 0"),
+        ("experiment = reanchor\nm = 1\nanchors = 0,100,100\n", "anchors must be distinct"),
+        ("experiment = lemma-verify\nm = 7\nanchors = 5\ndt = 0.5\n",
+         "'lemma-verify' does not read keys: ['m', 'dt', 'anchors']"),
+        ("experiment = flow\nm = 1\nsteps = 100\n", "'flow' does not read keys: ['steps']"),
     ],
     ids=["flow-t_end-inf", "figure-angle-eta-nan", "flow-d-zero", "figure-angle-init_scale-negative",
          "lemma-verify-n-one", "gd-steps-negative", "reanchor-anchor-negative", "flow-dt-zero",
-         "stopping-time-eps-negative"],
+         "stopping-time-eps-negative", "flow-seed-negative", "reanchor-anchor-repeated",
+         "lemma-verify-unread-keys", "flow-unread-key"],
 )
 def test_cli_non_finite_value_exits_two(tmp_path, capsys, text, needle):
     # Out-of-range values are config errors too: they are refused before the
@@ -303,6 +338,12 @@ def test_cli_non_finite_value_exits_two(tmp_path, capsys, text, needle):
     p = write_cfg(tmp_path, text)
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     assert needle in capsys.readouterr().err
+
+
+def test_cli_negative_seed_flag_exits_two(tmp_path, capsys):
+    p = write_cfg(tmp_path, "experiment = flow\nm = 0\nd = 5\nt_end = 1.0\n")
+    assert main(["run", "--config", str(p), "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_run_and_seed_override(tmp_path, capsys):
@@ -333,6 +374,45 @@ def test_cli_reanchor_anchor_override(tmp_path, capsys):
     capsys.readouterr()
     assert code in (0, 1)  # band membership is seed-dependent; artifacts are not
     assert (tmp_path / "r" / "bounds_anchor_150.csv").exists()
+
+
+def _artifacts(base):
+    out = {}
+    for path in sorted(base.rglob("*")):
+        if path.suffix == ".csv":
+            out[str(path.relative_to(base))] = path.read_bytes()
+        elif path.name == "report.json":
+            out[str(path.relative_to(base))] = json.loads(path.read_text())["checks"]
+    return out
+
+
+def test_cli_jobs_match_a_serial_run(tmp_path, capsys):
+    """--jobs runs the configs in worker processes; the artifacts must be
+    those of a serial run, byte for byte."""
+    paths = [
+        write_cfg(tmp_path, "experiment = flow\nm = 0\nd = 5\nt_end = 1.0\n", "flow.cfg"),
+        write_cfg(tmp_path, "experiment = gd\nm = 1\nd = 5\nn = 300\nsteps = 400\n", "gd.cfg"),
+    ]
+    argv = ["run"] + [a for p in paths for a in ("--config", str(p))]
+    codes = [main(argv + ["--jobs", jobs, "--out", str(tmp_path / f"j{jobs}")])
+             for jobs in ("1", "2")]
+    capsys.readouterr()
+    assert codes[0] == codes[1]
+    serial, parallel = _artifacts(tmp_path / "j1"), _artifacts(tmp_path / "j2")
+    assert len(serial) == 6  # trajectory.csv, bounds.csv and report.json per run
+    assert serial == parallel
+
+
+def test_cli_jobs_config_error_in_a_worker_exits_two(tmp_path, capsys):
+    # figure-magnitude refuses m = 2 inside its runner, so inside a worker.
+    paths = [
+        write_cfg(tmp_path, "experiment = figure-magnitude\nm = 2\ninit_scale = small\n",
+                  "bad.cfg"),
+        write_cfg(tmp_path, "experiment = flow\nm = 0\nd = 5\nt_end = 1.0\n", "flow.cfg"),
+    ]
+    argv = ["run"] + [a for p in paths for a in ("--config", str(p))]
+    assert main(argv + ["--jobs", "2", "--out", str(tmp_path / "o")]) == 2
+    assert "m <= 1 only" in capsys.readouterr().err
 
 
 def _documented_invocations(text: str) -> list[list[str]]:

@@ -178,9 +178,11 @@ def test_flow_spec_validation():
 
 def test_trajectory_invariants():
     with pytest.raises(DomainError):
-        Trajectory(np.array([0.1, 0.2]), [PolarState(1, 1), PolarState(1, 1)])
+        Trajectory(np.array([0.1, 0.2]), [PolarState(1, 1), PolarState(1, 1)],
+                   np.zeros(2))
     with pytest.raises(DomainError):
-        Trajectory(np.array([0.0, 0.0]), [PolarState(1, 1), PolarState(1, 1)])
+        Trajectory(np.array([0.0, 0.0]), [PolarState(1, 1), PolarState(1, 1)],
+                   np.zeros(2))
 
 
 def test_angle_freeze_near_alignment():
