@@ -14,6 +14,12 @@ anchor steps under its ``anchors`` key; the Monte Carlo moment check is
 ``lemma-verify``, with the dimension under ``d`` and the samples per
 estimate under ``n``.
 
+One invocation computes each distinct descent once: runs whose descents
+have the same inputs (``angle-m0-small`` and ``magnitude-m0-small``, say)
+share one trajectory, and such a run's ``[PASS]``/``[FAIL]`` line ends with
+``(descent shared)``. ``--jobs`` workers share nothing. Either way every
+artifact is byte-identical to the run's own.
+
 Exit status is 0 exactly when every check in every run passed, 1 when some
 check failed, 2 on a configuration or usage error, and 3 when a run failed:
 a trajectory diverged, an iteration did not converge, no evaluation path
@@ -31,6 +37,7 @@ from .errors import (ConfigError, ConvergenceError, DimensionError, DivergenceEr
                      DomainError, UnavailableError)
 from .experiments import (
     EXPERIMENTS,
+    DescentMemo,
     ExperimentResult,
     RunConfig,
     parse_config_file,
@@ -53,9 +60,10 @@ def _load(path: str, args: argparse.Namespace, multi: bool) -> RunConfig:
 def _report(res: ExperimentResult) -> bool:
     checks = res.report["checks"]
     status = "PASS" if res.passed else "FAIL"
+    shared = " (descent shared)" if res.descent_shared else ""
     print(
         f"[{status}] {res.report['experiment']} seed={res.report['seed']} "
-        f"({sum(c['pass'] for c in checks)}/{len(checks)} checks) -> {res.output_dir}"
+        f"({sum(c['pass'] for c in checks)}/{len(checks)} checks) -> {res.output_dir}{shared}"
     )
     for c in checks:
         if not c["pass"]:
@@ -105,10 +113,12 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         cfgs = [_load(p, args, multi=len(args.config) > 1) for p in args.config]
         if args.jobs > 1 and len(cfgs) > 1:
+            # One task per config, each with its own memo: workers share nothing.
             with ProcessPoolExecutor(max_workers=args.jobs) as ex:
                 results = list(ex.map(run_experiment, cfgs))
         else:
-            results = [run_experiment(c) for c in cfgs]
+            memo = DescentMemo()  # this invocation's descents, dropped on return
+            results = [run_experiment(c, memo) for c in cfgs]
         flags = [_report(r) for r in results]
         return 0 if all(flags) else 1
     except ConfigError as exc:

@@ -15,6 +15,15 @@ kinds of artifacts in its output directory:
 registered runner, which writes the other artifacts and returns its checks,
 and owns report.json.
 
+Descents go through a `DescentMemo`, keyed on the exact inputs of their
+`run_gd` call. Runs handed the same memo compute each distinct descent once:
+the command line gives one memo to all the configs of a serial invocation,
+so a twin run (the same descent checked against another band) reads the
+trajectory already computed, bit for bit the one it would compute itself.
+`run_experiment` called alone, and each ``--jobs`` worker task, gets a fresh
+memo, so nothing is shared across calls or processes, and the artifacts are
+the same either way.
+
 Floats are serialized at 17 significant digits, so identical configs (seed
 included) produce byte-identical CSVs. A check's ``margin`` is its headroom:
 positive means it passed with that much room, negative says how far past the
@@ -177,6 +186,8 @@ class RunConfig:
             raise ConfigError(f"anchors must be non-negative steps, got {self.anchors}")
         if self.anchors is not None and len(set(self.anchors)) < len(self.anchors):
             raise ConfigError(f"anchors must be distinct steps, got {self.anchors}")
+        if self.dt is not None and self.t_end is not None and self.dt > self.t_end:
+            raise ConfigError(f"dt must be <= t_end, got dt={self.dt} > t_end={self.t_end}")
         if self.experiment == "lemma-verify" and self.d is not None and self.d < 2:
             raise ConfigError(f"d must be >= 2 for lemma-verify (two unit vectors in "
                               f"R^1 are parallel or antiparallel), got {self.d}")
@@ -312,10 +323,12 @@ class ExperimentResult:
     report: dict
     passed: bool
     files: tuple[str, ...] = field(default_factory=tuple)
+    descent_shared: bool = False  # the run read a descent an earlier run computed
 
 
 def _finalize(
-    outdir: Path, experiment: str, seed: int, checks: list[dict], t0: float
+    outdir: Path, experiment: str, seed: int, checks: list[dict], t0: float,
+    descent_shared: bool,
 ) -> ExperimentResult:
     report = {
         "experiment": experiment,
@@ -330,6 +343,7 @@ def _finalize(
         report=report,
         passed=all(c["pass"] for c in checks),
         files=files,
+        descent_shared=descent_shared,
     )
 
 
@@ -420,6 +434,35 @@ def _envelope_range_slack(lowers: np.ndarray, uppers: np.ndarray) -> float:
     return 0.02 * float(np.max(uppers) - np.min(lowers))
 
 
+def _descent_key(config: NeuronConfig, init: WeightState, dc: DescentConfig) -> tuple:
+    """Every input of a `run_gd` call: equal keys give bit-identical runs."""
+    return (dc, config.m, config.target_w.tobytes(), init.w.tobytes(), init.hidden)
+
+
+class DescentMemo:
+    """The trajectories `run_gd` returned, keyed on the call's exact inputs.
+
+    A call whose key is stored gets the stored (read-only) Trajectory instead
+    of a second run; `reused` counts those calls. Only a returned trajectory
+    is stored: a call that raises stores nothing, and the next equal call
+    runs again.
+    """
+
+    def __init__(self) -> None:
+        self._trajectories: dict[tuple, Trajectory] = {}
+        self.reused = 0
+
+    def run(self, config: NeuronConfig, init: WeightState, dc: DescentConfig) -> Trajectory:
+        key = _descent_key(config, init, dc)
+        if key in self._trajectories:
+            self.reused += 1
+        else:
+            # run_gd is looked up at call time, so a wrapper set on this
+            # module (a tracer) sees every descent that does run.
+            self._trajectories[key] = run_gd(config, init, dc)
+        return self._trajectories[key]
+
+
 # ---------------------------------------------------------------------------
 # experiment runners: each writes its artifacts and returns (outdir, checks);
 # run_experiment times it and writes report.json
@@ -476,7 +519,7 @@ def _band_checks(
     return check, rep
 
 
-def _run_descent_figure(cfg: RunConfig, kinds: list[str]) -> _Outcome:
+def _run_descent_figure(cfg: RunConfig, memo: DescentMemo, kinds: list[str]) -> _Outcome:
     m = int(cfg.m)
     if "magnitude" in kinds and m >= 2:
         raise ConfigError("descent-side magnitude bands exist for m <= 1 only")
@@ -487,7 +530,7 @@ def _run_descent_figure(cfg: RunConfig, kinds: list[str]) -> _Outcome:
         raise ConfigError(f"no default step size for m={m}; set eta explicitly")
     dc = DescentConfig(eta=eta, steps=steps, mode="empirical", n_samples=n,
                        seed=cfg.seed, record_every=_stride(steps))
-    traj = run_gd(config, init, dc)
+    traj = memo.run(config, init, dc)
     tnorm = config.target_norm
     outdir = _out_dir(cfg, f"m{m}", label)
     r, R, checks = _rr_recipe(label, polar0.magnitude, tnorm)
@@ -512,7 +555,7 @@ def _run_descent_figure(cfg: RunConfig, kinds: list[str]) -> _Outcome:
     return outdir, checks
 
 
-def _run_reanchor(cfg: RunConfig) -> _Outcome:
+def _run_reanchor(cfg: RunConfig, memo: DescentMemo) -> _Outcome:
     """Descent run whose magnitude band is re-anchored at cfg.anchors.
 
     Each anchor writes its own bounds CSV; the bands must all hold and each
@@ -540,7 +583,7 @@ def _run_reanchor(cfg: RunConfig) -> _Outcome:
         eta=eta, steps=steps, mode="empirical", n_samples=n, seed=cfg.seed,
         record_every=record,
     )
-    traj = run_gd(config, init, dc)
+    traj = memo.run(config, init, dc)
     tnorm = config.target_norm
 
     outdir = _out_dir(cfg, f"m{m}", label)
@@ -636,7 +679,7 @@ def _run_error_scaling(cfg: RunConfig) -> _Outcome:
     return outdir, checks
 
 
-def _run_stopping_time(cfg: RunConfig) -> _Outcome:
+def _run_stopping_time(cfg: RunConfig, memo: DescentMemo) -> _Outcome:
     m = int(cfg.m) if cfg.m is not None else 1
     config, init, polar0, label = _draw_problem(cfg, m, _FIG_KSTAR.get(m, 1.0), "middle")
     tnorm = config.target_norm
@@ -648,7 +691,7 @@ def _run_stopping_time(cfg: RunConfig) -> _Outcome:
     T = stopping_time(env, eta, eps)
 
     dc = DescentConfig(eta=eta, steps=T, mode="population", record_every=_stride(T))
-    traj = run_gd(config, init, dc)
+    traj = memo.run(config, init, dc)
     final_angle = traj.states[-1].angle
     _bracket(checks, traj, r, R)
     checks.append(
@@ -795,12 +838,13 @@ def _run_deep_general(cfg: RunConfig) -> _Outcome:
 class Experiment(NamedTuple):
     """A registered experiment kind: what it does, the config keys it cannot
     default, every key its runner reads (seed, output_dir and paper_scale
-    apply to all), and the runner that executes it."""
+    apply to all), and the runner that executes it, given the config and the
+    memo its descents go through."""
 
     description: str
     required: frozenset[str]
     reads: frozenset[str]
-    run: Callable[[RunConfig], _Outcome]
+    run: Callable[[RunConfig, DescentMemo], _Outcome]
 
 
 # The keys _draw_problem reads, plus the depth.
@@ -810,29 +854,29 @@ _DESCENT_KEYS = _PROBLEM_KEYS | {"n", "steps", "eta"}
 EXPERIMENTS: dict[str, Experiment] = {
     "flow": Experiment(
         "integrate the reduced flow and check it against its analytic bands",
-        frozenset({"m"}), _PROBLEM_KEYS | {"t_end", "dt"}, _run_flow),
+        frozenset({"m"}), _PROBLEM_KEYS | {"t_end", "dt"}, lambda cfg, _: _run_flow(cfg)),
     "gd": Experiment(
         "full-batch descent on sampled data, checked against descent-side bands",
         frozenset({"m"}), _DESCENT_KEYS,
-        lambda cfg: _run_descent_figure(
-            cfg, ["magnitude", "angle"] if int(cfg.m) <= 1 else ["angle"])),
+        lambda cfg, memo: _run_descent_figure(
+            cfg, memo, ["magnitude", "angle"] if int(cfg.m) <= 1 else ["angle"])),
     "figure-angle": Experiment(
         "angle dynamics of descent inside its analytic band",
         frozenset({"m", "init_scale"}), _DESCENT_KEYS,
-        lambda cfg: _run_descent_figure(cfg, ["angle"])),
+        lambda cfg, memo: _run_descent_figure(cfg, memo, ["angle"])),
     "figure-magnitude": Experiment(
         "magnitude dynamics of descent inside its analytic band (m <= 1)",
         frozenset({"m", "init_scale"}), _DESCENT_KEYS,
-        lambda cfg: _run_descent_figure(cfg, ["magnitude"])),
+        lambda cfg, memo: _run_descent_figure(cfg, memo, ["magnitude"])),
     "reanchor": Experiment(
         "descent magnitude bands re-anchored along the run; bands must tighten",
         frozenset({"m"}), _DESCENT_KEYS | {"anchors"}, _run_reanchor),
     "lemma-verify": Experiment(
         "Monte Carlo verification of the Gaussian moment closed forms",
-        frozenset(), frozenset({"d", "n"}), _run_lemma_verify),
+        frozenset(), frozenset({"d", "n"}), lambda cfg, _: _run_lemma_verify(cfg)),
     "error-scaling": Experiment(
         "flow-vs-descent substitution error as a function of step size",
-        frozenset(), frozenset({"t_end"}), _run_error_scaling),
+        frozenset(), frozenset({"t_end"}), lambda cfg, _: _run_error_scaling(cfg)),
     "stopping-time": Experiment(
         "certified step count, then a run that must beat it",
         frozenset(), _PROBLEM_KEYS | {"eta", "eps"}, _run_stopping_time),
@@ -840,16 +884,20 @@ EXPERIMENTS: dict[str, Experiment] = {
         "depth-5 ReLU network; parameter norm must move monotonically",
         frozenset({"init_scale"}),
         frozenset({"init_scale", "d", "n", "steps", "eta", "target_scale"}),
-        _run_deep_general),
+        lambda cfg, _: _run_deep_general(cfg)),
 }
 
 
-def run_experiment(cfg: RunConfig) -> ExperimentResult:
+def run_experiment(cfg: RunConfig, memo: DescentMemo | None = None) -> ExperimentResult:
     """Run one experiment to completion: the frame of every run.
 
     Starts the clock, lets the registered runner write its artifacts and
-    return its checks, then writes report.json with the runtime.
+    return its checks, then writes report.json with the runtime. Descents go
+    through `memo`, which earlier runs may have filled; without one the run
+    gets a fresh memo and shares nothing.
     """
     t0 = time.monotonic()
-    outdir, checks = EXPERIMENTS[cfg.experiment].run(cfg)
-    return _finalize(outdir, cfg.experiment, cfg.seed, checks, t0)
+    memo = memo if memo is not None else DescentMemo()
+    reused = memo.reused
+    outdir, checks = EXPERIMENTS[cfg.experiment].run(cfg, memo)
+    return _finalize(outdir, cfg.experiment, cfg.seed, checks, t0, memo.reused > reused)

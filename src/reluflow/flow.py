@@ -170,6 +170,7 @@ class Trajectory:
     strictly increasing. For flow runs they are real times, for descent runs
     step indices. losses holds the population loss at each sample;
     weight_states, when kept, the full parameters at the same sample points.
+    times and losses are read-only: one trajectory may serve several runs.
     """
 
     times: np.ndarray
@@ -190,6 +191,8 @@ class Trajectory:
         if losses.shape != times.shape:
             raise DomainError("losses channel must align with times")
         object.__setattr__(self, "losses", losses)
+        times.flags.writeable = False
+        losses.flags.writeable = False
 
     @property
     def magnitudes(self) -> np.ndarray:

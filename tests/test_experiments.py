@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reluflow import cli
+from reluflow import cli, experiments
 from reluflow.cli import main
-from reluflow.errors import ConfigError
+from reluflow.errors import ConfigError, DivergenceError
 from reluflow.experiments import (
     EXPERIMENTS,
     RunConfig,
@@ -326,11 +326,12 @@ def test_cli_numerical_failure_exits_three(tmp_path, capsys, text):
         ("experiment = lemma-verify\nm = 7\nanchors = 5\ndt = 0.5\n",
          "'lemma-verify' does not read keys: ['m', 'dt', 'anchors']"),
         ("experiment = flow\nm = 1\nsteps = 100\n", "'flow' does not read keys: ['steps']"),
+        ("experiment = flow\nm = 1\nt_end = 0.0001\ndt = 0.001\n", "dt must be <= t_end"),
     ],
     ids=["flow-t_end-inf", "figure-angle-eta-nan", "flow-d-zero", "figure-angle-init_scale-negative",
          "lemma-verify-n-one", "gd-steps-negative", "reanchor-anchor-negative", "flow-dt-zero",
          "stopping-time-eps-negative", "flow-seed-negative", "reanchor-anchor-repeated",
-         "lemma-verify-unread-keys", "flow-unread-key"],
+         "lemma-verify-unread-keys", "flow-unread-key", "flow-dt-above-t_end"],
 )
 def test_cli_non_finite_value_exits_two(tmp_path, capsys, text, needle):
     # Out-of-range values are config errors too: they are refused before the
@@ -413,6 +414,121 @@ def test_cli_jobs_config_error_in_a_worker_exits_two(tmp_path, capsys):
     argv = ["run"] + [a for p in paths for a in ("--config", str(p))]
     assert main(argv + ["--jobs", "2", "--out", str(tmp_path / "o")]) == 2
     assert "m <= 1 only" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------
+# one descent per distinct input within an invocation
+
+_SMALL_DESCENT = "m = 1\nd = 5\nn = 300\nsteps = 400\n"
+
+
+def _count_descents(monkeypatch) -> list:
+    calls = []
+    real = experiments.run_gd
+
+    def counted(config, init, dc):
+        calls.append(dc)
+        return real(config, init, dc)
+
+    monkeypatch.setattr(experiments, "run_gd", counted)
+    return calls
+
+
+def test_cli_twin_runs_share_one_descent_bit_for_bit(tmp_path, capsys, monkeypatch):
+    """figure-angle, figure-magnitude and gd at the same m and seed descend
+    from the same inputs: one invocation runs that descent once, and every
+    run's artifacts are those of the config run alone."""
+    paths = [
+        write_cfg(tmp_path, "experiment = figure-angle\ninit_scale = small\n" + _SMALL_DESCENT,
+                  "angle.cfg"),
+        write_cfg(tmp_path, "experiment = figure-magnitude\ninit_scale = small\n"
+                  + _SMALL_DESCENT, "magnitude.cfg"),
+        write_cfg(tmp_path, "experiment = gd\n" + _SMALL_DESCENT, "gd.cfg"),
+    ]
+    calls = _count_descents(monkeypatch)
+    argv = ["run"] + [a for p in paths for a in ("--config", str(p))]
+    main(argv + ["--out", str(tmp_path / "together")])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(calls) == 1
+    runs = [line for line in lines if line.startswith("[")]
+    assert [line.endswith("(descent shared)") for line in runs] == [False, True, True]
+
+    for p in paths:
+        main(["run", "--config", str(p), "--out", str(tmp_path / "alone" / p.stem)])
+        assert "(descent shared)" not in capsys.readouterr().out
+    assert len(calls) == 4
+    assert _artifacts(tmp_path / "together") == _artifacts(tmp_path / "alone")
+
+
+@pytest.mark.parametrize("change", ["seed = 1", "eta = 4e-6", "steps = 300", "n = 200",
+                                    "d = 4", "init_scale = middle", "target_scale = 2.0"],
+                         ids=lambda change: change.split(" = ")[0])
+def test_cli_runs_again_when_any_descent_input_differs(tmp_path, capsys, monkeypatch, change):
+    key = change.split(" = ")[0]
+    base = {"m": "1", "d": "5", "n": "300", "steps": "400", "init_scale": "small"}
+    other = {**base, key: change.split(" = ")[1]}
+    paths = [
+        write_cfg(tmp_path, "experiment = figure-angle\n"
+                  + "".join(f"{k} = {v}\n" for k, v in cfg.items()), f"{name}.cfg")
+        for name, cfg in (("base", base), ("other", other))
+    ]
+    calls = _count_descents(monkeypatch)
+    argv = ["run"] + [a for p in paths for a in ("--config", str(p))]
+    main(argv + ["--out", str(tmp_path / "o")])
+    assert "(descent shared)" not in capsys.readouterr().out
+    assert len(calls) == 2
+
+
+def test_a_descent_that_raises_is_not_stored(monkeypatch):
+    config, init, _, _ = experiments._draw_problem(
+        RunConfig(experiment="gd", m=1, d=5), 1, 0.5, "small")
+    dc = experiments.DescentConfig(eta=8e-6, steps=10, mode="empirical", n_samples=50)
+    real, attempts = experiments.run_gd, []
+
+    def fails_once(*args):
+        attempts.append(args)
+        if len(attempts) == 1:
+            raise DivergenceError("first attempt")
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "run_gd", fails_once)
+    memo = experiments.DescentMemo()
+    with pytest.raises(DivergenceError):
+        memo.run(config, init, dc)
+    traj = memo.run(config, init, dc)
+    assert memo.run(config, init, dc) is traj
+    assert (len(attempts), memo.reused) == (2, 1)
+
+
+class _Planned(Exception):
+    """Raised in place of a descent: the test wants its inputs, not its run."""
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_shipped_grid_has_eleven_distinct_empirical_descents(tmp_path, monkeypatch, seed):
+    """The shipped configs' 18 empirical descents have 11 distinct inputs, so
+    a serial invocation over the grid runs 11 of them. Keys come from the
+    runners' own calls, through the helper the memo keys on."""
+    keys = []
+
+    def plan_only(config, init, dc):
+        keys.append(experiments._descent_key(config, init, dc))
+        raise _Planned
+
+    monkeypatch.setattr(experiments, "run_gd", plan_only)
+    descending = 0
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        cfg = parse_config_file(path)
+        if cfg.experiment in ("flow", "lemma-verify", "error-scaling", "deep-general"):
+            continue  # no descent here; lemma-verify and deep-general take seconds
+        if seed is not None:
+            cfg = dataclasses.replace(cfg, seed=seed)
+        with pytest.raises(_Planned):
+            run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path / path.stem)))
+        descending += 1
+    empirical = [k for k in keys if k[0].mode == "empirical"]
+    assert (descending, len(keys), len(empirical)) == (19, 19, 18)
+    assert len(set(empirical)) == 11
 
 
 def _documented_invocations(text: str) -> list[list[str]]:

@@ -185,6 +185,17 @@ def test_trajectory_invariants():
                    np.zeros(2))
 
 
+def test_trajectory_times_and_losses_are_read_only():
+    # One trajectory may serve several runs, so a write must fail loudly
+    # instead of changing what the other runs read.
+    spec = FlowSpec(m=0, target_norm=1.0, initial=PolarState(0.5, 2.0), t_end=0.1, dt=1e-2)
+    traj = integrate_polar(spec)
+    with pytest.raises(ValueError):
+        traj.times[0] = 1.0
+    with pytest.raises(ValueError):
+        traj.losses[0] = 1.0
+
+
 def test_angle_freeze_near_alignment():
     spec = FlowSpec(m=0, target_norm=1.0, initial=PolarState(0.5, math.pi - 1e-13),
                     t_end=2.0, dt=1e-3)
