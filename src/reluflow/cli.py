@@ -14,9 +14,11 @@ anchor steps under its ``anchors`` key; the Monte Carlo moment check is
 ``lemma-verify``, with the dimension under ``d`` and the samples per
 estimate under ``n``.
 
-One invocation computes each distinct descent once: runs whose descents
-have the same inputs (``angle-m0-small`` and ``magnitude-m0-small``, say)
-share one trajectory, and such a run's ``[PASS]``/``[FAIL]`` line ends with
+One serial invocation plans the descents of its configs first and marches
+the distinct ones together, one batch per dimension, before the runs
+start; each distinct descent is computed once. Runs whose descents have the
+same inputs (``angle-m0-small`` and ``magnitude-m0-small``, say) share one
+trajectory, and the line of every such run after the first ends with
 ``(descent shared)``. ``--jobs`` workers share nothing. Either way every
 artifact is byte-identical to the run's own.
 
@@ -41,6 +43,7 @@ from .experiments import (
     ExperimentResult,
     RunConfig,
     parse_config_file,
+    plan_descents,
     run_experiment,
 )
 
@@ -71,6 +74,13 @@ def _report(res: ExperimentResult) -> bool:
     return res.passed
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reluflow",
@@ -86,7 +96,8 @@ def _parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="config file; repeat to run several",
     )
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel processes")
+    p_run.add_argument("--jobs", type=_at_least_one, default=1,
+                       help="parallel processes, at most one per config")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument(
         "--paper-scale",
@@ -114,10 +125,11 @@ def main(argv: list[str] | None = None) -> int:
         cfgs = [_load(p, args, multi=len(args.config) > 1) for p in args.config]
         if args.jobs > 1 and len(cfgs) > 1:
             # One task per config, each with its own memo: workers share nothing.
-            with ProcessPoolExecutor(max_workers=args.jobs) as ex:
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(cfgs))) as ex:
                 results = list(ex.map(run_experiment, cfgs))
         else:
             memo = DescentMemo()  # this invocation's descents, dropped on return
+            memo.prefill(plan_descents(cfgs))
             results = [run_experiment(c, memo) for c in cfgs]
         flags = [_report(r) for r in results]
         return 0 if all(flags) else 1

@@ -18,10 +18,20 @@ population gradient (exact closed form) or on a fixed dataset drawn once
 its step to the flow module's `_march`, the loop the vector flow runs too,
 which validates the start once, guards every step and builds a
 `WeightState` only at the steps it records, at times k * 1.0 = k. The step
-applies one update rule to the raw (w, hidden) pair: the population
-gradient through the population module's unchecked kernel, or the sample
-gradient through the Gram kernel below. `gd_step` runs the same kernels and
-update but validates its inputs, and the signs of its result, on every call.
+applies one update rule, `_descend`, to the raw (w, hidden) stacks: the
+population gradient through the population module's unchecked kernel, or
+the sample gradient through the Gram kernel below. `gd_step` runs the same
+kernels and update but validates its inputs, and the signs of its result,
+on every call.
+
+`run_gd_batch` marches many empirical descents of one dimension d
+together, one row each, and an empirical `run_gd` is a batch of one. Each
+row keeps its own teacher, depth, data, step size, length and record
+stride. A serial ``reluflow run`` plans the descents of its configs and
+hands the distinct ones to it, one batch per d. Every stacked product
+below is the one BLAS call the row would make alone (a gemv per Gram or
+block product, a dot per inner product), and the rest is elementwise, so
+each row's states equal its lone run's bit for bit.
 
 The sample gradient reads the data only through the active set
 S = {i : x_i.w > 0}. With p the product of the hidden scalars,
@@ -42,7 +52,10 @@ one contiguous block; rho is the next smallest margin. By Cauchy-Schwarz,
 |x_i.w - x_i.w_ref| <= |x_i| |w - w_ref|, so while |w - w_ref| < rho no row
 outside the block changes sign and a step tests only the block; otherwise
 w becomes the new reference. With n <= `_WATCH` there is no block and
-every step tests every row.
+every step tests every row. The step runs on the stacks of all rows: the
+reach test, the block products, the sign tests, the Gram gradient and the
+update. A row that must take a new reference, test every row or re-form
+(G_S, b_S) does that alone, in its `_ActiveSet`.
 
 Rounding only shifts the argument. A d-term dot product is off by at most
 about d units of roundoff times |x_i| |w|, whatever the summation order.
@@ -58,13 +71,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .bounds import BoundEnvelope, _band_forms, _certify_eta, _check_eta, _threshold
-from .errors import DivergenceError, DomainError
+from .errors import DimensionError, DivergenceError, DomainError
 from .flow import Trajectory, _is_count, _march
 from .population import NeuronConfig, WeightState, _check_state, _gradient, population_gradient
 
@@ -121,7 +133,7 @@ def gd_step(
         grad_w, grad_hidden = _sample_gradient(
             state.w, state.hidden, batch, _teacher_labels(config, batch)
         )
-    new_w, new_hidden = _descend(state.w, state.hidden, eta, grad_w, grad_hidden)
+    new_w, new_hidden = _descend(state.w, np.array(state.hidden), eta, grad_w, grad_hidden)
     if not all(v > 0.0 for v in new_hidden):
         raise DivergenceError("a hidden scalar was driven to or below zero")
     return WeightState(new_w, new_hidden)
@@ -145,8 +157,8 @@ def _active_gram(
     batch: np.ndarray, labels: np.ndarray, active: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(G_S, b_S) = (X_S^T X_S, X_S^T y_S) over the rows the mask selects."""
-    rows = batch[active]
-    return rows.T @ rows, rows.T @ labels[active]
+    rows = np.compress(active, batch, axis=0)  # batch[active], copied faster
+    return rows.T @ rows, rows.T @ np.compress(active, labels)
 
 
 def _gram_gradient(
@@ -168,9 +180,11 @@ _WATCH = 64
 
 
 class _ActiveSet:
-    """`run_gd`'s sample gradient: the active set S and its (G_S, b_S),
-    re-formed only when S changes, with changes found through the watch
-    block (see the module docstring)."""
+    """One row of an empirical descent: the active set S of its data and
+    (G_S, b_S), re-formed only when S changes, with the reference, radius
+    and watch block that certify S between tests (see the module
+    docstring). `_GramStack` runs the fast step of all rows at once; a row
+    it cannot certify settles here alone."""
 
     def __init__(self, batch: np.ndarray, labels: np.ndarray) -> None:
         self.batch, self.labels = batch, labels
@@ -179,20 +193,23 @@ class _ActiveSet:
         self.pad = 4 * (d + 2) * np.finfo(float).eps
         self.w_ref = np.zeros(d)
         self.reach = -1.0  # squared certified radius; negative: none
+        self.block = np.zeros((_WATCH, d))
+        self.doubt = 0.0
+        self.side = np.ones(_WATCH)  # each block row's sign at the last test, as +-1.0
         self.active = None
+        self.gram, self.moment = np.zeros((d, d)), np.zeros(d)
 
-    def gradient(self, w: np.ndarray, hidden: tuple[float, ...]):
-        moved = w - self.w_ref
-        if moved.dot(moved) < self.reach:
-            pre = self.block.dot(w)
-            signs = (pre > self.doubt).tobytes()
+    def settle(self, w: np.ndarray, near: bool, pre: np.ndarray) -> None:
+        """Bring S and (G_S, b_S) up to date at w, given whether w lies
+        within the reach of the reference and the block products at w."""
+        if near:
+            signs = pre > self.doubt
             # Equal only if no block row lies within the pad of zero.
-            if signs == (pre >= -self.doubt).tobytes():
-                if signs != self.watched:
-                    self.active[self.watch] = pre > 0.0
-                    self.watched = signs
-                    self._reform()
-                return _gram_gradient(w, hidden, self.n, self.gram, self.moment)
+            if (signs == (pre >= -self.doubt)).all():
+                self.active[self.watch] = signs
+                self.side = np.where(signs, 1.0, -1.0)
+                self._reform()
+                return
             active = self.batch @ w > 0.0
         else:
             active = self._reference(w)
@@ -200,8 +217,7 @@ class _ActiveSet:
             self.active = active
             self._reform()
         if self.reach > 0.0:
-            self.watched = active[self.watch].tobytes()
-        return _gram_gradient(w, hidden, self.n, self.gram, self.moment)
+            self.side = np.where(active[self.watch], 1.0, -1.0)
 
     def _reference(self, w: np.ndarray) -> np.ndarray:
         """Make w the reference and return every row's sign at w. With
@@ -227,9 +243,71 @@ class _ActiveSet:
         self.gram, self.moment = _active_gram(self.batch, self.labels, self.active)
 
 
-def _descend(w: np.ndarray, hidden: tuple[float, ...], eta: float, grad_w: np.ndarray,
-             grad_hidden: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
-    return w - eta * grad_w, tuple(v - eta * g for v, g in zip(hidden, grad_hidden.tolist()))
+# What `_GramStack` mirrors of each row's `_ActiveSet`.
+_MIRRORED = ("w_ref", "reach", "block", "doubt", "side", "gram", "moment")
+
+
+class _GramStack:
+    """The step of a batched empirical descent, on (B, d) weight and
+    (B, m_max) hidden stacks: the fast step of `_ActiveSet` for all rows at
+    once, on stacked copies of what it reads.
+
+    A row passes the stacked test when w lies within its reach and every
+    block product lies beyond the pad on the side its row had at the last
+    test: then no sign is in doubt and none changed, and (G_S, b_S) stand.
+    Any other row settles in its own `_ActiveSet`, and its copies are
+    reloaded. With finite products this is the test `_ActiveSet.settle`
+    makes, so each row takes the path it would take alone.
+    """
+
+    def __init__(self, sets: list[_ActiveSet], etas: list[float], ms: list[int]) -> None:
+        self.sets = sets
+        self.rows = np.arange(len(sets))  # the march's indices of the rows held
+        self.n = np.array([[s.n] for s in sets], dtype=float)
+        self.eta = np.array([[eta] for eta in etas])
+        self.padded = np.arange(max(ms)) >= np.array(ms)[:, None]
+        self.has_padding = bool(self.padded.any())
+        for name in _MIRRORED:
+            setattr(self, name, np.array([getattr(s, name) for s in sets]))
+
+    def __call__(self, W: np.ndarray, H: np.ndarray,
+                 live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if len(live) < len(self.rows):
+            self._keep(np.isin(self.rows, live))
+        moved = W - self.w_ref
+        signed = np.matvec(self.block, W)
+        signed *= self.side  # exact: each product times +-1
+        near = np.vecdot(moved, moved) < self.reach  # each row's moved.dot(moved)
+        passed = near & (np.minimum.reduce(signed, axis=1) > self.doubt)
+        if not np.logical_and.reduce(passed):
+            for j in np.flatnonzero(~passed):
+                s = self.sets[j]
+                s.settle(W[j], bool(near[j]), signed[j] * s.side)
+                for name in _MIRRORED:
+                    getattr(self, name)[j] = getattr(s, name)
+        # `_gram_gradient`, row by row, with p, n and w.resid as columns.
+        p = H[:, :1] if H.shape[1] else np.ones((len(W), 1))
+        for c in range(1, H.shape[1]):
+            p = p * H[:, c:c + 1]
+        resid = np.matvec(self.gram, W) * p - self.moment
+        grad_hidden = (p / H) * (np.vecdot(W, resid)[:, None] / self.n) if H.shape[1] else H
+        W, H = _descend(W, H, self.eta, resid * (p / self.n), grad_hidden)
+        if self.has_padding:
+            np.copyto(H, 1.0, where=self.padded)
+        return W, H
+
+    def _keep(self, keep: np.ndarray) -> None:
+        self.sets = [s for s, k in zip(self.sets, keep) if k]
+        for name in ("rows", "n", "eta", "padded") + _MIRRORED:
+            setattr(self, name, getattr(self, name)[keep])
+        self.has_padding = bool(self.padded.any())
+
+
+def _descend(w: np.ndarray, hidden: np.ndarray, eta, grad_w: np.ndarray,
+             grad_hidden: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The update of every descent: one state, or stacks with a column of
+    step sizes."""
+    return w - eta * grad_w, hidden - eta * grad_hidden
 
 
 def run_gd(config: NeuronConfig, init: WeightState, dc: DescentConfig) -> Trajectory:
@@ -239,24 +317,51 @@ def run_gd(config: NeuronConfig, init: WeightState, dc: DescentConfig) -> Trajec
     Trajectory times are step indices. Empirical mode draws its dataset once
     from dc.seed, computes the teacher's labels on it once, and never
     resamples; it re-forms the active set's Gram data only when a row changes
-    sign. Either mode's steps go through the same gradient kernel and update
-    as `gd_step`, so a fold of `gd_step` over the same inputs records the
-    same states bit for bit. Raises DivergenceError when a hidden scalar
-    leaves (0, inf) or the weight norm is not finite or exceeds 1e12.
+    sign, and it is `run_gd_batch` on one problem. Either mode's steps go
+    through the same gradient kernel and update as `gd_step`, so a fold of
+    `gd_step` over the same inputs records the same states bit for bit.
+    Raises DivergenceError when a hidden scalar leaves (0, inf) or the weight
+    norm is not finite or exceeds 1e12.
     """
     if dc.mode == "empirical":
+        (out,) = run_gd_batch([(config, init, dc)])
+    else:
+        eta = dc.eta
+
+        def step(W: np.ndarray, H: np.ndarray, _live: np.ndarray):
+            return _descend(W, H, eta, *_gradient(config, W[0], H[0].tolist()))
+
+        (out,) = _march([(config, init)], [dc.steps], [dc.record_every], 1.0, step)
+    if not isinstance(out, Trajectory):
+        raise out
+    return out
+
+
+def run_gd_batch(
+    problems: Sequence[tuple[NeuronConfig, WeightState, DescentConfig]],
+) -> list[Trajectory | ValueError | DivergenceError]:
+    """Empirical descents of one dimension d in one batched march.
+
+    Each (config, init, dc) row gets what `run_gd` would return for it, bit
+    for bit, or, in place of raising, the error `run_gd` would raise. A row
+    that fails leaves the batch and the others go on.
+    """
+    if any(dc.mode != "empirical" for _, _, dc in problems):
+        raise DomainError("run_gd_batch marches empirical descents only")
+    if len({config.d for config, _, _ in problems}) > 1:
+        raise DimensionError("run_gd_batch needs problems of one dimension d")
+    if not problems:
+        return []
+    sets = []
+    for config, _, dc in problems:
         rng = np.random.default_rng(np.random.SeedSequence(dc.seed))
         batch = rng.standard_normal((dc.n_samples, config.d))
-        gradient = _ActiveSet(batch, _teacher_labels(config, batch)).gradient
-    else:
-        gradient = partial(_gradient, config)
-
-    eta = dc.eta
-
-    def step(w, hidden):
-        return _descend(w, hidden, eta, *gradient(w, hidden))
-
-    return _march(config, init, dc.steps, dc.record_every, 1.0, step)
+        sets.append(_ActiveSet(batch, _teacher_labels(config, batch)))
+    step = _GramStack(sets, [dc.eta for _, _, dc in problems],
+                      [config.m for config, _, _ in problems])
+    return _march([(config, init) for config, init, _ in problems],
+                  [dc.steps for _, _, dc in problems],
+                  [dc.record_every for _, _, dc in problems], 1.0, step)
 
 
 def gd_error_scaling(

@@ -16,13 +16,17 @@ registered runner, which writes the other artifacts and returns its checks,
 and owns report.json.
 
 Descents go through a `DescentMemo`, keyed on the exact inputs of their
-`run_gd` call. Runs handed the same memo compute each distinct descent once:
-the command line gives one memo to all the configs of a serial invocation,
-so a twin run (the same descent checked against another band) reads the
-trajectory already computed, bit for bit the one it would compute itself.
-`run_experiment` called alone, and each ``--jobs`` worker task, gets a fresh
-memo, so nothing is shared across calls or processes, and the artifacts are
-the same either way.
+`run_gd` call. Runs handed the same memo compute each distinct descent once.
+Each descending experiment states its one descent in a plan
+(`Experiment.descent`) that its runner follows too. The command line plans
+the descents of all the configs of a serial invocation (`plan_descents`),
+marches the distinct empirical ones together in one `run_gd_batch` per
+dimension (`DescentMemo.prefill`), and hands that one memo to every run. So
+a run, and a twin run (the same descent checked against another band),
+reads a trajectory bit for bit the one it would compute itself.
+`run_experiment` called alone, and each ``--jobs`` worker task, gets a
+fresh memo, so nothing is shared across calls or processes, and the
+artifacts are the same either way.
 
 Floats are serialized at 17 significant digits, so identical configs (seed
 included) produce byte-identical CSVs. A check's ``margin`` is its headroom:
@@ -44,9 +48,9 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,6 +70,7 @@ from .descent import (
     eta_threshold,
     gd_error_scaling,
     run_gd,
+    run_gd_batch,
     stopping_time,
 )
 from .errors import ConfigError, DivergenceError
@@ -440,27 +445,49 @@ def _descent_key(config: NeuronConfig, init: WeightState, dc: DescentConfig) -> 
 
 
 class DescentMemo:
-    """The trajectories `run_gd` returned, keyed on the call's exact inputs.
+    """The trajectories of `run_gd` calls, keyed on the calls' exact inputs.
 
-    A call whose key is stored gets the stored (read-only) Trajectory instead
-    of a second run; `reused` counts those calls. Only a returned trajectory
-    is stored: a call that raises stores nothing, and the next equal call
-    runs again.
+    A call whose key is stored gets the stored Trajectory instead of a second
+    run; `reused` counts the calls after a key's first reader. `prefill`
+    stores many descents from one batched march, and `run` stores a lone
+    one. Only a trajectory that finished is stored: a call that raises, or a
+    batch row that fails, stores nothing, and the next equal call runs again.
+    Every reader gets the same read-only Trajectory, stored without its
+    weight states, which no runner reads.
     """
 
     def __init__(self) -> None:
         self._trajectories: dict[tuple, Trajectory] = {}
+        self._read: set[tuple] = set()
         self.reused = 0
 
     def run(self, config: NeuronConfig, init: WeightState, dc: DescentConfig) -> Trajectory:
         key = _descent_key(config, init, dc)
-        if key in self._trajectories:
-            self.reused += 1
-        else:
+        if key not in self._trajectories:
             # run_gd is looked up at call time, so a wrapper set on this
             # module (a tracer) sees every descent that does run.
-            self._trajectories[key] = run_gd(config, init, dc)
+            self._store(key, run_gd(config, init, dc))
+        if key in self._read:
+            self.reused += 1
+        self._read.add(key)
         return self._trajectories[key]
+
+    def prefill(self, problems: Sequence[tuple[NeuronConfig, WeightState, DescentConfig]]) -> None:
+        """Run the distinct empirical descents among `problems` (`run_gd`
+        inputs) that are not stored yet, one `run_gd_batch` per dimension d,
+        and store each row that finished."""
+        todo: dict[int, dict[tuple, tuple]] = {}
+        for config, init, dc in problems:
+            key = _descent_key(config, init, dc)
+            if dc.mode == "empirical" and key not in self._trajectories:
+                todo.setdefault(config.d, {}).setdefault(key, (config, init, dc))
+        for rows in todo.values():
+            for key, out in zip(rows, run_gd_batch(list(rows.values()))):
+                if isinstance(out, Trajectory):
+                    self._store(key, out)
+
+    def _store(self, key: tuple, traj: Trajectory) -> None:
+        self._trajectories[key] = replace(traj, weight_states=None)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +546,17 @@ def _band_checks(
     return check, rep
 
 
-def _run_descent_figure(cfg: RunConfig, memo: DescentMemo, kinds: list[str]) -> _Outcome:
+class _Descent(NamedTuple):
+    """A descending run's problem and the inputs of its one `run_gd` call."""
+
+    config: NeuronConfig
+    init: WeightState
+    polar0: PolarState
+    label: str
+    dc: DescentConfig
+
+
+def _figure_descent(cfg: RunConfig, kinds: list[str]) -> _Descent:
     m = int(cfg.m)
     if "magnitude" in kinds and m >= 2:
         raise ConfigError("descent-side magnitude bands exist for m <= 1 only")
@@ -530,6 +567,12 @@ def _run_descent_figure(cfg: RunConfig, memo: DescentMemo, kinds: list[str]) -> 
         raise ConfigError(f"no default step size for m={m}; set eta explicitly")
     dc = DescentConfig(eta=eta, steps=steps, mode="empirical", n_samples=n,
                        seed=cfg.seed, record_every=_stride(steps))
+    return _Descent(config, init, polar0, label, dc)
+
+
+def _run_descent_figure(cfg: RunConfig, memo: DescentMemo, kinds: list[str]) -> _Outcome:
+    config, init, polar0, label, dc = _figure_descent(cfg, kinds)
+    m, eta = config.m, dc.eta
     traj = memo.run(config, init, dc)
     tnorm = config.target_norm
     outdir = _out_dir(cfg, f"m{m}", label)
@@ -555,18 +598,17 @@ def _run_descent_figure(cfg: RunConfig, memo: DescentMemo, kinds: list[str]) -> 
     return outdir, checks
 
 
-def _run_reanchor(cfg: RunConfig, memo: DescentMemo) -> _Outcome:
-    """Descent run whose magnitude band is re-anchored at cfg.anchors.
-
-    Each anchor writes its own bounds CSV; the bands must all hold and each
-    later anchor must have strictly smaller worst margin over its window.
-    """
+def _anchors(cfg: RunConfig) -> tuple[int, ...]:
     m = int(cfg.m)
     if m not in _REANCHOR:
         raise ConfigError("re-anchored magnitude bands exist for m in {0, 1} only")
-    defaults = _REANCHOR[m]
-    anchors = tuple(sorted(int(a) for a in cfg.anchors or defaults["anchors"]))
+    return tuple(sorted(int(a) for a in cfg.anchors or _REANCHOR[m]["anchors"]))
 
+
+def _reanchor_descent(cfg: RunConfig) -> _Descent:
+    anchors = _anchors(cfg)
+    m = int(cfg.m)
+    defaults = _REANCHOR[m]
     _, n, _ = _resolve_scales(cfg)
     steps = cfg.steps if cfg.steps is not None else defaults["steps"]
     if anchors[-1] >= steps:
@@ -583,6 +625,17 @@ def _run_reanchor(cfg: RunConfig, memo: DescentMemo) -> _Outcome:
         eta=eta, steps=steps, mode="empirical", n_samples=n, seed=cfg.seed,
         record_every=record,
     )
+    return _Descent(config, init, polar0, label, dc)
+
+
+def _run_reanchor(cfg: RunConfig, memo: DescentMemo) -> _Outcome:
+    """Descent run whose magnitude band is re-anchored at cfg.anchors.
+
+    Each anchor writes its own bounds CSV; the bands must all hold and each
+    later anchor must have strictly smaller worst margin over its window.
+    """
+    config, init, polar0, label, dc = _reanchor_descent(cfg)
+    anchors, m, eta = _anchors(cfg), config.m, dc.eta
     traj = memo.run(config, init, dc)
     tnorm = config.target_norm
 
@@ -679,28 +732,32 @@ def _run_error_scaling(cfg: RunConfig) -> _Outcome:
     return outdir, checks
 
 
-def _run_stopping_time(cfg: RunConfig, memo: DescentMemo) -> _Outcome:
+def _stopping_descent(cfg: RunConfig) -> tuple[_Descent, BoundEnvelope, float, list[dict]]:
+    """The run's descent, its angle band, eps and the bracket recipe's checks."""
     m = int(cfg.m) if cfg.m is not None else 1
     config, init, polar0, label = _draw_problem(cfg, m, _FIG_KSTAR.get(m, 1.0), "middle")
-    tnorm = config.target_norm
-    r, R, checks = _rr_recipe(label, polar0.magnitude, tnorm)
-
-    env = BoundEnvelope("angle", m, tnorm, polar0.angle, polar0.magnitude, r=r, R=R)
+    r, R, checks = _rr_recipe(label, polar0.magnitude, config.target_norm)
+    env = BoundEnvelope("angle", m, config.target_norm, polar0.angle, polar0.magnitude,
+                        r=r, R=R)
     eps = cfg.eps if cfg.eps is not None else 1e-2
     eta = cfg.eta if cfg.eta is not None else 0.005 * eta_threshold(env)
     T = stopping_time(env, eta, eps)
-
     dc = DescentConfig(eta=eta, steps=T, mode="population", record_every=_stride(T))
+    return _Descent(config, init, polar0, label, dc), env, eps, checks
+
+
+def _run_stopping_time(cfg: RunConfig, memo: DescentMemo) -> _Outcome:
+    (config, init, _, label, dc), env, eps, checks = _stopping_descent(cfg)
     traj = memo.run(config, init, dc)
     final_angle = traj.states[-1].angle
-    _bracket(checks, traj, r, R)
+    _bracket(checks, traj, env.r, env.R)
     checks.append(
         _check("angle_beats_target", final_angle > math.pi - eps,
                final_angle - (math.pi - eps))
     )
 
-    outdir = _out_dir(cfg, f"m{m}", label)
-    rep = check_envelope(traj, env, 0.0, eta=eta)
+    outdir = _out_dir(cfg, f"m{config.m}", label)
+    rep = check_envelope(traj, env, 0.0, eta=dc.eta)
     _write_run(outdir, traj, {"angle": rep}, "step")
     return outdir, checks
 
@@ -743,16 +800,23 @@ class _MLPPass:
 
     def gradients(self, weights: list[np.ndarray]) -> list[np.ndarray]:
         """Gradient of the loss in each weight matrix, in buffers that the
-        next call overwrites."""
+        next call overwrites.
+
+        The output layer's error is an outer product with one term per
+        entry, so a broadcast multiply forms it exactly as a k = 1 product
+        would. Each hidden layer's error multiplies by a contiguous copy of
+        W.T, which the product reads faster than the strided transpose and
+        sums in the same order.
+        """
         e = np.subtract(self.forward(weights), self.y, out=self.e)
         np.divide(e, self.n, out=e)
         np.matmul(self.acts[-1].T, e[:, None], out=self.grads[-1])
-        g = np.matmul(e[:, None], weights[-1].T, out=self.back[-1])
+        g = np.multiply(e[:, None], weights[-1].T, out=self.back[-1])
         for i in range(len(weights) - 2, -1, -1):
             np.multiply(g, np.greater(self.pres[i], 0.0, out=self.masks[i]), out=g)
             np.matmul(self.acts[i].T, g, out=self.grads[i])
             if i:
-                g = np.matmul(g, weights[i].T, out=self.back[i - 1])
+                g = np.matmul(g, np.ascontiguousarray(weights[i].T), out=self.back[i - 1])
         return self.grads
 
 
@@ -838,18 +902,25 @@ def _run_deep_general(cfg: RunConfig) -> _Outcome:
 class Experiment(NamedTuple):
     """A registered experiment kind: what it does, the config keys it cannot
     default, every key its runner reads (seed, output_dir and paper_scale
-    apply to all), and the runner that executes it, given the config and the
-    memo its descents go through."""
+    apply to all), the runner that executes it, given the config and the
+    memo its descents go through, and, for a descending kind, the plan of
+    its one descent, which the runner itself follows."""
 
     description: str
     required: frozenset[str]
     reads: frozenset[str]
     run: Callable[[RunConfig, DescentMemo], _Outcome]
+    descent: Callable[[RunConfig], _Descent] | None = None
 
 
 # The keys _draw_problem reads, plus the depth.
 _PROBLEM_KEYS = frozenset({"m", "d", "init_scale", "target_scale"})
 _DESCENT_KEYS = _PROBLEM_KEYS | {"n", "steps", "eta"}
+
+
+def _gd_kinds(cfg: RunConfig) -> list[str]:
+    return ["magnitude", "angle"] if int(cfg.m) <= 1 else ["angle"]
+
 
 EXPERIMENTS: dict[str, Experiment] = {
     "flow": Experiment(
@@ -858,19 +929,21 @@ EXPERIMENTS: dict[str, Experiment] = {
     "gd": Experiment(
         "full-batch descent on sampled data, checked against descent-side bands",
         frozenset({"m"}), _DESCENT_KEYS,
-        lambda cfg, memo: _run_descent_figure(
-            cfg, memo, ["magnitude", "angle"] if int(cfg.m) <= 1 else ["angle"])),
+        lambda cfg, memo: _run_descent_figure(cfg, memo, _gd_kinds(cfg)),
+        lambda cfg: _figure_descent(cfg, _gd_kinds(cfg))),
     "figure-angle": Experiment(
         "angle dynamics of descent inside its analytic band",
         frozenset({"m", "init_scale"}), _DESCENT_KEYS,
-        lambda cfg, memo: _run_descent_figure(cfg, memo, ["angle"])),
+        lambda cfg, memo: _run_descent_figure(cfg, memo, ["angle"]),
+        lambda cfg: _figure_descent(cfg, ["angle"])),
     "figure-magnitude": Experiment(
         "magnitude dynamics of descent inside its analytic band (m <= 1)",
         frozenset({"m", "init_scale"}), _DESCENT_KEYS,
-        lambda cfg, memo: _run_descent_figure(cfg, memo, ["magnitude"])),
+        lambda cfg, memo: _run_descent_figure(cfg, memo, ["magnitude"]),
+        lambda cfg: _figure_descent(cfg, ["magnitude"])),
     "reanchor": Experiment(
         "descent magnitude bands re-anchored along the run; bands must tighten",
-        frozenset({"m"}), _DESCENT_KEYS | {"anchors"}, _run_reanchor),
+        frozenset({"m"}), _DESCENT_KEYS | {"anchors"}, _run_reanchor, _reanchor_descent),
     "lemma-verify": Experiment(
         "Monte Carlo verification of the Gaussian moment closed forms",
         frozenset(), frozenset({"d", "n"}), lambda cfg, _: _run_lemma_verify(cfg)),
@@ -879,7 +952,8 @@ EXPERIMENTS: dict[str, Experiment] = {
         frozenset(), frozenset({"t_end"}), lambda cfg, _: _run_error_scaling(cfg)),
     "stopping-time": Experiment(
         "certified step count, then a run that must beat it",
-        frozenset(), _PROBLEM_KEYS | {"eta", "eps"}, _run_stopping_time),
+        frozenset(), _PROBLEM_KEYS | {"eta", "eps"}, _run_stopping_time,
+        lambda cfg: _stopping_descent(cfg)[0]),
     "deep-general": Experiment(
         "depth-5 ReLU network; parameter norm must move monotonically",
         frozenset({"init_scale"}),
@@ -888,13 +962,32 @@ EXPERIMENTS: dict[str, Experiment] = {
 }
 
 
+def plan_descents(
+    cfgs: Sequence[RunConfig],
+) -> list[tuple[NeuronConfig, WeightState, DescentConfig]]:
+    """The `run_gd` inputs of the descending runs among `cfgs`, in order, up
+    to the first config whose plan raises; that config's own run raises the
+    same error, and the runs after it do not start."""
+    problems = []
+    for cfg in cfgs:
+        plan = EXPERIMENTS[cfg.experiment].descent
+        if plan is None:
+            continue
+        try:
+            p = plan(cfg)
+        except (ValueError, RuntimeError):  # the base classes of every package error
+            break
+        problems.append((p.config, p.init, p.dc))
+    return problems
+
+
 def run_experiment(cfg: RunConfig, memo: DescentMemo | None = None) -> ExperimentResult:
     """Run one experiment to completion: the frame of every run.
 
     Starts the clock, lets the registered runner write its artifacts and
     return its checks, then writes report.json with the runtime. Descents go
-    through `memo`, which earlier runs may have filled; without one the run
-    gets a fresh memo and shares nothing.
+    through `memo`, which a prefill or earlier runs may have filled; without
+    one the run gets a fresh memo and shares nothing.
     """
     t0 = time.monotonic()
     memo = memo if memo is not None else DescentMemo()

@@ -29,22 +29,32 @@ order checks in the test suite and the tight envelope tolerances rely on a
 deterministic, constant-step scheme.
 
 The full-space flow and descent, its Euler discretisation, share one loop,
-`_march`. It validates the start once, advances the raw (w, hidden) pair
-by the step it is given, requires after every step a finite weight norm of
-at most 1e12 and every hidden scalar in (0, inf), records step 0, every
-k-th step and the last at time k h, and builds the Trajectory.
-`integrate_vector` gives it one RK4 step of length h, bit for bit classic
-RK4 on `vector_rhs`; `run_gd` gives it one descent step, with h = 1.
+`_march`, over a batch of problems of one dimension d. Its rows are a
+(B, d) weight stack and a (B, m_max) hidden stack, whose entries past a
+row's own m are padded with 1.0 and never change. d is never padded: a
+padded product would group its partial sums differently. The loop validates
+each start once, advances the live rows' stacks by the step it is given,
+requires after every step each row's weight norm to be finite and at most
+1e12 and each of its hidden scalars to lie in (0, inf), records each row at
+step 0, every k-th step and its last, at time k h, and builds one
+Trajectory per row. Each row keeps its own problem, length and record
+stride; it leaves the stack when it finishes or when its guard fails, and
+a failed row gets its error instead of a trajectory while the others go
+on. `integrate_vector` marches one row with one RK4 step of length h, bit
+for bit classic RK4 on `vector_rhs`. `run_gd` marches one row with one
+descent step, with h = 1; `descent.run_gd_batch` marches many empirical
+descents together, which is how a serial ``reluflow run`` computes the
+distinct descents of its configs.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError
+from .errors import DimensionError, DivergenceError, DomainError
 from .population import (
     NeuronConfig,
     PolarState,
@@ -170,17 +180,20 @@ class Trajectory:
     strictly increasing. For flow runs they are real times, for descent runs
     step indices. losses holds the population loss at each sample;
     weight_states, when kept, the full parameters at the same sample points.
-    times and losses are read-only: one trajectory may serve several runs.
+    A trajectory is read-only throughout, because one may serve several
+    runs: states and weight_states are tuples, and times, losses and each
+    kept weight vector refuse writes.
     """
 
     times: np.ndarray
-    states: list[PolarState]
+    states: tuple[PolarState, ...]
     losses: np.ndarray
-    weight_states: list[WeightState] | None = None
+    weight_states: tuple[WeightState, ...] | None = None
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
         object.__setattr__(self, "times", times)
+        object.__setattr__(self, "states", tuple(self.states))
         if times.ndim != 1 or len(times) != len(self.states):
             raise DomainError("times and states must align one-to-one")
         if len(times) == 0 or times[0] != 0.0:
@@ -193,6 +206,10 @@ class Trajectory:
         object.__setattr__(self, "losses", losses)
         times.flags.writeable = False
         losses.flags.writeable = False
+        if self.weight_states is not None:
+            object.__setattr__(self, "weight_states", tuple(self.weight_states))
+            for state in self.weight_states:
+                state.w.flags.writeable = False
 
     @property
     def magnitudes(self) -> np.ndarray:
@@ -273,25 +290,70 @@ def integrate_polar(spec: FlowSpec, sample_every: int = 1) -> Trajectory:
     return Trajectory(np.array(times), states, losses=np.array(losses))
 
 
-def _march(config: NeuronConfig, init: WeightState, steps: int, every: int, h: float,
-           advance: Callable) -> Trajectory:
-    """The loop of the full-space paths (see the module docstring): `advance`
-    takes the raw (w, hidden) pair one step of length h ahead."""
-    population_gradient(config, init)  # validates the start once
-    w, hidden = init.w, init.hidden
-    times, kept = [0.0], [init]
-    for k in range(1, steps + 1):
-        w, hidden = advance(w, hidden)
-        norm = math.sqrt(w.dot(w))
-        if not norm <= _BLOWUP:  # NaN fails it too
-            raise DivergenceError(f"weight norm {norm} blew up at t={k * h}")
-        if not all(0.0 < v < math.inf for v in hidden):
-            raise DivergenceError(f"a hidden scalar left (0, inf) at t={k * h}")
-        if k % every == 0 or k == steps:
-            times.append(k * h)
-            kept.append(WeightState(w, hidden))
-    return Trajectory(np.array(times), [polar_of(config, s) for s in kept],
-                      np.array([population_loss(config, s) for s in kept]), kept)
+def _march(problems: Sequence[tuple[NeuronConfig, WeightState]], steps: Sequence[int],
+           every: Sequence[int], h: float,
+           advance: Callable) -> list[Trajectory | ValueError | DivergenceError]:
+    """The loop of the full-space paths (see the module docstring).
+
+    Row i starts problem i from its WeightState and takes steps[i] steps,
+    recording every every[i]-th; all problems share one dimension d.
+    `advance(W, H, live)` takes the live rows' weight and hidden stacks one
+    step of length h ahead and returns the new stacks; live holds those
+    rows' indices into problems, in stack order, and is a new array exactly
+    when a row has left. Returns each row's Trajectory, or the error its
+    start or its guard raised.
+    """
+    out: list = [None] * len(problems)
+    for i, (config, init) in enumerate(problems):
+        try:
+            population_gradient(config, init)  # validates the start once
+        except (DomainError, DimensionError) as exc:
+            out[i] = exc
+    ms = [config.m for config, _ in problems]
+    kept = [[WeightState(init.w.copy(), init.hidden)] for _, init in problems]
+    times = [[0.0] for _ in problems]
+    live = np.array([i for i, o in enumerate(out) if o is None and steps[i] > 0], dtype=int)
+    W = np.empty((len(live), problems[0][0].d))
+    H = np.ones((len(live), max(ms)))
+    for j, i in enumerate(live):
+        W[j] = problems[i][1].w
+        H[j, :ms[i]] = problems[i][1].hidden
+    # Each row's next recorded step; the loop looks at rows only on the
+    # earliest of these, or when a guard fails.
+    due = np.array([min(every[i], steps[i]) for i in live], dtype=int)
+    next_due = int(due.min()) if len(live) else 0
+    k = 0
+    while len(live):
+        k += 1
+        W, H = advance(W, H, live)
+        # np.vecdot takes each row's w.dot(w) through the BLAS dot a lone
+        # row's dot uses. Padded hidden entries are 1.0 and always pass;
+        # NaN never passes a test here.
+        norms = [math.sqrt(x) for x in np.vecdot(W, W).tolist()]
+        if (k < next_due and all(norm <= _BLOWUP for norm in norms)
+                and all(0.0 < v < math.inf for v in H.ravel().tolist())):
+            continue
+        failed = np.array([not (norm <= _BLOWUP and all(0.0 < v < math.inf for v in row))
+                           for norm, row in zip(norms, H.tolist())], dtype=bool)
+        for j in np.flatnonzero(failed):
+            out[live[j]] = DivergenceError(
+                f"weight norm {norms[j]} blew up at t={k * h}" if not norms[j] <= _BLOWUP
+                else f"a hidden scalar left (0, inf) at t={k * h}")
+        for j in np.flatnonzero(~failed & (due == k)):
+            i = live[j]
+            times[i].append(k * h)
+            kept[i].append(WeightState(W[j].copy(), tuple(H[j, :ms[i]].tolist())))
+            due[j] = min(k + every[i], steps[i]) if k < steps[i] else 0
+        stay = ~failed & (due > 0)
+        if not stay.all():
+            live, W, H, due = live[stay], W[stay], H[stay], due[stay]
+        next_due = int(due.min()) if len(live) else 0
+    for i, (config, _) in enumerate(problems):
+        if out[i] is None:
+            out[i] = Trajectory(np.array(times[i]), [polar_of(config, s) for s in kept[i]],
+                                np.array([population_loss(config, s) for s in kept[i]]),
+                                kept[i])
+    return out
 
 
 def integrate_vector(
@@ -320,13 +382,16 @@ def integrate_vector(
 
     # RK4 on y' = -grad, with the minus sign carried into each update: IEEE
     # negation is exact, so this is RK4 on vector_rhs bit for bit.
-    def rk4(w: np.ndarray, hidden: tuple[float, ...]) -> tuple[np.ndarray, tuple[float, ...]]:
-        y = np.concatenate([w, hidden])
+    def rk4(W: np.ndarray, H: np.ndarray, _live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = np.concatenate([W[0], H[0]])
         g1 = grad(y, slopes[0])
         g2 = grad(y - (0.5 * h) * g1, slopes[1])
         g3 = grad(y - (0.5 * h) * g2, slopes[2])
         g4 = grad(y - h * g3, slopes[3])
         y = y - (h / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
-        return y[:d], tuple(y[d:].tolist())
+        return y[None, :d], y[None, d:]
 
-    return _march(config, init, n_steps, sample_every, h, rk4)
+    (out,) = _march([(config, init)], [n_steps], [sample_every], h, rk4)
+    if not isinstance(out, Trajectory):
+        raise out
+    return out

@@ -15,6 +15,7 @@ from reluflow.descent import (
     gd_error_scaling,
     gd_step,
     run_gd,
+    run_gd_batch,
     stopping_time,
 )
 from reluflow.errors import DimensionError, DivergenceError, DomainError, UnavailableError
@@ -144,6 +145,21 @@ def test_bridge_rejects_non_finite_eta():
             gd_error_scaling(1.0, lambda x: 0.8 * x, lambda w: -w, (1e-3,), horizon)
 
 
+def _fold_of_gd_step(cfg, init, dc):
+    """The states a fold of the public gd_step records for run_gd's inputs,
+    on run_gd's data in empirical mode; and that data (None otherwise)."""
+    batch = None
+    if dc.mode == "empirical":
+        rng = np.random.default_rng(np.random.SeedSequence(dc.seed))
+        batch = rng.standard_normal((dc.n_samples, cfg.d))
+    state, want = init, [init]
+    for k in range(1, dc.steps + 1):
+        state = gd_step(cfg, state, dc.eta, batch)
+        if k % dc.record_every == 0 or k == dc.steps:
+            want.append(state)
+    return want, batch
+
+
 @pytest.mark.parametrize(
     "m,mode,n,seed,phi0,min_flips",
     [pytest.param(m, "empirical", 500, 11, 2.0, 0, id=str(m)) for m in (0, 1, 2)]
@@ -164,15 +180,7 @@ def test_empirical_run_equals_a_fold_of_gd_step(m, mode, n, seed, phi0, min_flip
     dc = DescentConfig(eta=0.02, steps=300, mode=mode, n_samples=n,
                        seed=seed, record_every=40)
     traj = run_gd(cfg, init, dc)
-    batch = None
-    if mode == "empirical":
-        rng = np.random.default_rng(np.random.SeedSequence(dc.seed))
-        batch = rng.standard_normal((dc.n_samples, cfg.d))
-    state, want = init, [init]
-    for k in range(1, dc.steps + 1):
-        state = gd_step(cfg, state, dc.eta, batch)
-        if k % dc.record_every == 0 or k == dc.steps:
-            want.append(state)
+    want, batch = _fold_of_gd_step(cfg, init, dc)
     assert len(traj.weight_states) == len(want) == 9
     assert not np.array_equal(want[-1].w, init.w)
     for got, ref in zip(traj.weight_states, want):
@@ -181,6 +189,76 @@ def test_empirical_run_equals_a_fold_of_gd_step(m, mode, n, seed, phi0, min_flip
     if min_flips:
         flips = np.count_nonzero((batch @ want[0].w > 0) != (batch @ want[-1].w > 0))
         assert flips >= min_flips
+
+
+def test_a_batch_of_three_equals_folds_of_gd_step():
+    """The same fold, with three rows of different depth, data size and
+    start marching together: a high-flip row, a row whose watch block holds
+    all its data but one row, and a row with no block at all."""
+    rows = []
+    for m, n, phi0 in ((0, 1000, 0.6), (1, 65, 2.0), (2, 64, 2.0)):
+        cfg, init = make_problem(m, d=6, v0=0.8, phi0=phi0, seed=m)
+        rows.append((cfg, init, DescentConfig(eta=0.02, steps=300, mode="empirical",
+                                              n_samples=n, seed=11, record_every=40)))
+    for (cfg, init, dc), traj in zip(rows, run_gd_batch(rows)):
+        want, _ = _fold_of_gd_step(cfg, init, dc)
+        assert len(traj.weight_states) == len(want) == 9
+        for got, ref in zip(traj.weight_states, want):
+            assert np.array_equal(got.w, ref.w)
+            assert got.hidden == ref.hidden
+
+
+def _batch_rows():
+    """Six empirical descents in d = 6: depths 0, 1 and 2, data sizes on
+    both sides of the watch block, different lengths and strides, an empty
+    run, and two rows that fail while the others go on (a norm blow-up at
+    m = 0 and a hidden scalar driven below zero at m = 1)."""
+    rows = []
+    for m, n, steps, every, seed in ((0, 300, 250, 30, 1), (1, 40, 180, 7, 2),
+                                     (2, 500, 300, 50, 3), (1, 900, 0, 5, 4)):
+        cfg, init = make_problem(m, d=6, v0=0.8, phi0=1.0 + 0.3 * m, seed=m + 10)
+        rows.append((cfg, init, DescentConfig(eta=0.02, steps=steps, mode="empirical",
+                                              n_samples=n, seed=seed, record_every=every)))
+    cfg, init = make_problem(0, d=6, v0=0.5, seed=5)
+    rows.insert(1, (cfg, init, DescentConfig(eta=50.0, steps=100, mode="empirical",
+                                             n_samples=200, seed=1)))
+    cfg, _ = make_problem(1, d=6, seed=6)
+    rows.append((cfg, WeightState(3.0 * cfg.target_w, (1.0,)),
+                 DescentConfig(eta=0.5, steps=10, mode="empirical", n_samples=500, seed=1)))
+    return rows
+
+
+def test_batched_descents_equal_lone_runs_bit_for_bit():
+    rows = _batch_rows()
+    outs = run_gd_batch(rows)
+    assert [type(o).__name__ for o in outs] == ["Trajectory", "DivergenceError"] + [
+        "Trajectory"] * 3 + ["DivergenceError"]
+    for (cfg, init, dc), got in zip(rows, outs):
+        if isinstance(got, DivergenceError):
+            with pytest.raises(DivergenceError) as lone:
+                run_gd(cfg, init, dc)
+            assert str(got) == str(lone.value)
+            continue
+        want = run_gd(cfg, init, dc)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.losses, want.losses)
+        assert got.states == want.states
+        assert len(got.weight_states) == len(want.weight_states)
+        for a, b in zip(got.weight_states, want.weight_states):
+            assert np.array_equal(a.w, b.w) and a.hidden == b.hidden
+    assert "blew up" in str(outs[1]) and "hidden scalar" in str(outs[-1])
+    assert len(outs[4].times) == 1  # steps = 0: the start alone
+
+
+def test_batch_refuses_population_rows_and_mixed_dimensions():
+    cfg, init = make_problem(1, d=6)
+    other, start = make_problem(1, d=5)
+    emp = DescentConfig(eta=0.01, steps=5, mode="empirical", n_samples=50)
+    assert run_gd_batch([]) == []
+    with pytest.raises(DomainError):
+        run_gd_batch([(cfg, init, DescentConfig(eta=0.01, steps=5))])
+    with pytest.raises(DimensionError):
+        run_gd_batch([(cfg, init, emp), (other, start, emp)])
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])

@@ -423,14 +423,21 @@ _SMALL_DESCENT = "m = 1\nd = 5\nn = 300\nsteps = 400\n"
 
 
 def _count_descents(monkeypatch) -> list:
+    """Counts every descent computed: each lone run_gd call, and each
+    problem handed to the batched march a serial invocation starts with."""
     calls = []
-    real = experiments.run_gd
+    real, real_batch = experiments.run_gd, experiments.run_gd_batch
 
     def counted(config, init, dc):
         calls.append(dc)
         return real(config, init, dc)
 
+    def counted_batch(problems):
+        calls.extend(dc for _, _, dc in problems)
+        return real_batch(problems)
+
     monkeypatch.setattr(experiments, "run_gd", counted)
+    monkeypatch.setattr(experiments, "run_gd_batch", counted_batch)
     return calls
 
 
@@ -498,6 +505,115 @@ def test_a_descent_that_raises_is_not_stored(monkeypatch):
     traj = memo.run(config, init, dc)
     assert memo.run(config, init, dc) is traj
     assert (len(attempts), memo.reused) == (2, 1)
+
+
+def _small_descent(seed=0, eta=8e-6, steps=40):
+    config, init, _, _ = experiments._draw_problem(
+        RunConfig(experiment="gd", m=1, d=5, seed=seed), 1, 0.5, "small")
+    return config, init, experiments.DescentConfig(
+        eta=eta, steps=steps, mode="empirical", n_samples=80, seed=seed, record_every=3)
+
+
+def test_memo_serves_one_trajectory_without_weight_states():
+    """Every reader, the first included, gets the same stored object, which
+    keeps times, states and losses bit for bit and drops the weight states
+    no runner reads."""
+    problem = _small_descent()
+    want = experiments.run_gd(*problem)
+    for fill in (False, True):
+        memo = experiments.DescentMemo()
+        if fill:
+            memo.prefill([problem])
+        first = memo.run(*problem)
+        assert first.weight_states is None and memo.reused == 0
+        assert memo.run(*problem) is first and memo.reused == 1
+        assert np.array_equal(first.times, want.times)
+        assert np.array_equal(first.losses, want.losses)
+        assert first.states == want.states
+
+
+def test_prefill_runs_distinct_descents_once_and_stores_no_failure(monkeypatch):
+    good, other = _small_descent(seed=0), _small_descent(seed=1)
+    bad = _small_descent(seed=2, eta=5e3)  # diverges inside the batch
+    calls = _count_descents(monkeypatch)
+    memo = experiments.DescentMemo()
+    memo.prefill([good, bad, good, other])
+    assert len(calls) == 3  # one batch of three distinct descents
+    memo.prefill([good, other])  # stored already: nothing runs
+    assert len(calls) == 3
+    for problem in (good, other):
+        memo.run(*problem)
+    assert len(calls) == 3 and memo.reused == 0
+    with pytest.raises(DivergenceError):
+        memo.run(*bad)  # not stored: the lone run repeats it and raises
+    assert len(calls) == 4
+
+
+def test_planning_stops_at_the_first_config_whose_plan_raises():
+    base = {"experiment": "figure-angle", "m": 1, "d": 5, "n": 300, "steps": 40,
+            "init_scale": "small"}
+    cfgs = [RunConfig(**base), RunConfig(**{**base, "experiment": "flow", "t_end": 1.0,
+                                           "n": None, "steps": None}),
+            RunConfig(**{**base, "experiment": "figure-magnitude", "m": 2}),
+            RunConfig(**{**base, "seed": 1})]
+    planned = experiments.plan_descents(cfgs)
+    assert [dc.seed for _, _, dc in planned] == [0]
+    assert len(experiments.plan_descents(cfgs[:2] + cfgs[3:])) == 2
+
+
+def test_plans_state_the_descents_the_runners_run(tmp_path, monkeypatch):
+    """Over the shipped configs the plans give exactly the runners' own
+    run_gd inputs, config by config, at the configs' seeds."""
+    runner_keys = []
+
+    def plan_only(config, init, dc):
+        runner_keys.append(experiments._descent_key(config, init, dc))
+        raise _Planned
+
+    cfgs = [parse_config_file(p) for p in sorted(CONFIGS.glob("*.cfg"))]
+    cfgs = [c for c in cfgs if EXPERIMENTS[c.experiment].descent is not None]
+    planned = [experiments._descent_key(*p) for p in experiments.plan_descents(cfgs)]
+    monkeypatch.setattr(experiments, "run_gd", plan_only)
+    for cfg in cfgs:
+        with pytest.raises(_Planned):
+            run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path / "o")))
+    assert planned == runner_keys and len(planned) == 19
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    p = write_cfg(tmp_path, "experiment = flow\nm = 0\nd = 5\nt_end = 1.0\n")
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--config", str(p), "--jobs", jobs])
+    assert exit_.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_cli_jobs_pool_holds_at_most_one_worker_per_config(tmp_path, capsys, monkeypatch):
+    """--jobs 5000 over two configs asks for two workers. The pool is a
+    recorder that runs the tasks in this process, so no worker starts."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    paths = [write_cfg(tmp_path, f"experiment = flow\nm = 0\nd = 5\nt_end = 1.0\nseed = {k}\n",
+                       f"flow{k}.cfg") for k in (1, 2)]
+    argv = ["run"] + [a for p in paths for a in ("--config", str(p))]
+    assert main(argv + ["--jobs", "5000", "--out", str(tmp_path / "o")]) == 0
+    assert sizes == [2]
+    capsys.readouterr()
 
 
 class _Planned(Exception):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reluflow.descent import DescentConfig, run_gd, run_gd_batch
 from reluflow.errors import DomainError
 from reluflow.flow import (
     FlowSpec,
@@ -194,6 +195,47 @@ def test_trajectory_times_and_losses_are_read_only():
         traj.times[0] = 1.0
     with pytest.raises(ValueError):
         traj.losses[0] = 1.0
+
+
+def _recorded_runs():
+    config = NeuronConfig(d=4, m=2, target_w=np.array([1.0, 0.0, 0.0, 0.0]))
+    init = WeightState(np.array([0.1, 0.6, 0.2, 0.0]), (0.7, 0.9))
+    flow = integrate_vector(config, init, t_end=0.05, dt=1e-2, sample_every=1)
+    descent = run_gd(config, init, DescentConfig(eta=1e-2, steps=6, mode="empirical",
+                                                 n_samples=100, record_every=2))
+    return init, [flow, descent] + run_gd_batch(
+        [(config, init, DescentConfig(eta=1e-2, steps=k, mode="empirical", n_samples=80))
+         for k in (3, 5)])
+
+
+def test_trajectory_is_read_only_throughout():
+    """States and weight states are tuples and each kept weight vector
+    refuses writes, for the vector flow, a lone descent and a batch."""
+    init, runs = _recorded_runs()
+    for traj in runs:
+        with pytest.raises(AttributeError):
+            traj.states.append(traj.states[0])
+        with pytest.raises(AttributeError):
+            traj.weight_states.append(traj.weight_states[0])
+        with pytest.raises(TypeError):
+            traj.states[0] = traj.states[-1]
+        with pytest.raises(ValueError):
+            traj.weight_states[1].w[0] = 9.0
+        with pytest.raises(ValueError):
+            traj.weight_states[-1].w += 1.0
+    init.w[0] = 0.1  # the caller's start stays its own, and writable
+
+
+def test_recorded_weights_share_no_memory():
+    # Rows recorded from a live stack are copies, never views into it, and
+    # step 0 is a copy of the caller's start.
+    init, runs = _recorded_runs()
+    arrays = [init.w] + [s.w for traj in runs for s in traj.weight_states]
+    assert len(arrays) == 1 + 6 + 4 + 4 + 6
+    for i, a in enumerate(arrays):
+        assert a.flags.owndata  # not a view into any larger array
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 def test_angle_freeze_near_alignment():
