@@ -329,7 +329,8 @@ def run_gd(config: NeuronConfig, init: WeightState, dc: DescentConfig) -> Trajec
         eta = dc.eta
 
         def step(W: np.ndarray, H: np.ndarray, _live: np.ndarray):
-            return _descend(W, H, eta, *_gradient(config, W[0], H[0].tolist()))
+            grad_w, grad_hidden = _gradient(config, W[0], H[0].tolist())
+            return _descend(W, H, eta, np.array(grad_w), np.array(grad_hidden))
 
         (out,) = _march([(config, init)], [dc.steps], [dc.record_every], 1.0, step)
     if not isinstance(out, Trajectory):

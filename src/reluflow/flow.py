@@ -23,6 +23,13 @@ The full-space flow integrates -`population_gradient` as written, through
 the population module's unchecked kernel, with no series of its own: its
 phi comes from acos(cos theta), which near alignment is good to only about
 1e-8 absolute, so a series could not restore accuracy that phi does not have.
+At the small d of these problems an ndarray op costs about a microsecond of
+dispatch for a few nanoseconds of arithmetic, so the kernel and the RK4
+stages of `integrate_vector` do their elementwise work on Python floats and
+keep NumPy for the reductions: the kernel's two dots stay BLAS dots, whose
+summation order is BLAS's own. A NumPy elementwise op and a Python float op
+are each one IEEE-754 double operation, with no fused multiply-add, so the
+same operands combined in the same order give the ndarray form's bits.
 
 Integration is classic fixed-step fourth-order Runge-Kutta: the step-halving
 order checks in the test suite and the tight envelope tolerances rely on a
@@ -41,7 +48,8 @@ Trajectory per row. Each row keeps its own problem, length and record
 stride; it leaves the stack when it finishes or when its guard fails, and
 a failed row gets its error instead of a trajectory while the others go
 on. `integrate_vector` marches one row with one RK4 step of length h, bit
-for bit classic RK4 on `vector_rhs`. `run_gd` marches one row with one
+for bit classic RK4 on `vector_rhs`, and hands the loop a (1, d) and a
+(1, m) array per step. `run_gd` marches one row with one
 descent step, with h = 1; `descent.run_gd_batch` marches many empirical
 descents together, which is how a serial ``reluflow run`` computes the
 distinct descents of its configs.
@@ -56,6 +64,7 @@ import numpy as np
 
 from .errors import DimensionError, DivergenceError, DomainError
 from .population import (
+    _TWO_PI,
     NeuronConfig,
     PolarState,
     WeightState,
@@ -116,17 +125,17 @@ def epsilon_gap(phi: float) -> float:
     return 1.0 - (math.sin(phi) - phi * math.cos(phi)) / math.pi
 
 
-def _polar_rates(m: int, target_norm: float, v: float, phi: float) -> tuple[float, float]:
-    """Unchecked right-hand side shared by the public op and the integrator."""
+def _polar_rates(m: int, a: float, v: float, phi: float) -> tuple[float, float]:
+    """Unchecked right-hand side shared by the public op and the integrator;
+    a = target_norm ** (m + 1), which the caller computes once."""
     delta = math.pi - phi
     if abs(delta) < _SERIES_GAP:
         sin_phi, cos_phi = _sin_cos_from_gap(delta)
     else:
         sin_phi, cos_phi = math.sin(phi), math.cos(phi)
     drive = (sin_phi - phi * cos_phi) / math.pi
-    a = target_norm ** (m + 1)
     dv = -0.5 * v**m * (v ** (m + 1) - a * drive)
-    dphi = v ** (m - 1) * a * phi * sin_phi / (2.0 * math.pi)
+    dphi = v ** (m - 1) * a * phi * sin_phi / _TWO_PI
     return dv, dphi
 
 
@@ -140,7 +149,7 @@ def polar_rhs(m: int, target_norm: float, state: PolarState) -> tuple[float, flo
         raise DomainError("polar dynamics need magnitude > 0")
     if not 0.0 < state.angle < math.pi:
         raise DomainError(f"angle {state.angle} must lie strictly inside (0, pi)")
-    return _polar_rates(m, target_norm, state.magnitude, state.angle)
+    return _polar_rates(m, target_norm ** (m + 1), state.magnitude, state.angle)
 
 
 def vector_rhs(config: NeuronConfig, state: WeightState) -> tuple[np.ndarray, np.ndarray]:
@@ -260,27 +269,30 @@ def integrate_polar(spec: FlowSpec, sample_every: int = 1) -> Trajectory:
     """
     _check_sample_every(sample_every)
     m, tn = spec.m, spec.target_norm
+    a = tn ** (m + 1)
     n_steps = max(1, round(spec.t_end / spec.dt))
     h = spec.t_end / n_steps
+    half, sixth = 0.5 * h, h / 6.0
 
     v, phi = spec.initial.magnitude, spec.initial.angle
-    frozen = False
+    # The angle's steps; a frozen angle takes zero steps, and phi + 0.0 is
+    # phi bit for bit.
+    hp, half_p, sixth_p = h, half, sixth
     times = [0.0]
     states = [PolarState(v, phi)]
     losses = [balanced_population_loss(m, tn, states[0])]
 
     for k in range(n_steps):
-        # A frozen angle takes zero steps: phi + 0.0 is phi bit for bit.
-        hp = 0.0 if frozen else h
-        kv1, kp1 = _polar_rates(m, tn, v, phi)
-        kv2, kp2 = _polar_rates(m, tn, v + 0.5 * h * kv1, phi + 0.5 * hp * kp1)
-        kv3, kp3 = _polar_rates(m, tn, v + 0.5 * h * kv2, phi + 0.5 * hp * kp2)
-        kv4, kp4 = _polar_rates(m, tn, v + h * kv3, phi + hp * kp3)
-        v += (h / 6.0) * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
-        phi += (hp / 6.0) * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4)
+        kv1, kp1 = _polar_rates(m, a, v, phi)
+        kv2, kp2 = _polar_rates(m, a, v + half * kv1, phi + half_p * kp1)
+        kv3, kp3 = _polar_rates(m, a, v + half * kv2, phi + half_p * kp2)
+        kv4, kp4 = _polar_rates(m, a, v + h * kv3, phi + hp * kp3)
+        v += sixth * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
+        phi += sixth_p * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4)
         t = (k + 1) * h
-        phi, now_frozen = _check_step(v, phi, t)
-        frozen = frozen or now_frozen
+        phi, frozen = _check_step(v, phi, t)
+        if frozen:
+            hp = half_p = sixth_p = 0.0
         if (k + 1) % sample_every == 0 or k + 1 == n_steps:
             state = PolarState(v, phi)
             times.append(t)
@@ -371,25 +383,27 @@ def integrate_vector(
     """
     _check_sample_every(sample_every)
     _check_horizon(dt, t_end)
-    d = config.d
     n_steps = max(1, round(t_end / dt))
     h = t_end / n_steps
-    slopes = np.empty((4, d + config.m))
+    d, half, sixth = config.d, 0.5 * h, h / 6.0
 
-    def grad(y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        out[:d], out[d:] = _gradient(config, y[:d], y[d:].tolist())
-        return out
+    def grad(y: list[float]) -> list[float]:
+        grad_w, grad_hidden = _gradient(config, np.array(y[:d]), y[d:])
+        return grad_w + grad_hidden
 
     # RK4 on y' = -grad, with the minus sign carried into each update: IEEE
-    # negation is exact, so this is RK4 on vector_rhs bit for bit.
+    # negation is exact, so this is RK4 on vector_rhs bit for bit. The stages
+    # combine on floats, each entry in the order the ndarray form
+    # y - (h/6) (k1 + 2 k2 + 2 k3 + k4) takes.
     def rk4(W: np.ndarray, H: np.ndarray, _live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = np.concatenate([W[0], H[0]])
-        g1 = grad(y, slopes[0])
-        g2 = grad(y - (0.5 * h) * g1, slopes[1])
-        g3 = grad(y - (0.5 * h) * g2, slopes[2])
-        g4 = grad(y - h * g3, slopes[3])
-        y = y - (h / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
-        return y[None, :d], y[None, d:]
+        y = W[0].tolist() + H[0].tolist()
+        g1 = grad(y)
+        g2 = grad([a - half * k for a, k in zip(y, g1)])
+        g3 = grad([a - half * k for a, k in zip(y, g2)])
+        g4 = grad([a - h * k for a, k in zip(y, g3)])
+        y = [a - sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+             for a, k1, k2, k3, k4 in zip(y, g1, g2, g3, g4)]
+        return np.array([y[:d]]), np.array([y[d:]])
 
     (out,) = _march([(config, init)], [n_steps], [sample_every], h, rk4)
     if not isinstance(out, Trajectory):

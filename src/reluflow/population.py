@@ -19,7 +19,9 @@ The gradient lives in one unchecked kernel, `_gradient(config, w, hidden)`,
 and the norm and angles of w in one helper, `_angles`. `population_gradient`
 is its checks plus that kernel; the full-space flow and population descent
 step the raw (w, hidden) pair through the kernel, and `polar_of` and
-`population_loss` read their coordinates from `_angles`.
+`population_loss` read their coordinates from `_angles`. The kernel takes
+its two reductions from BLAS dots and does its elementwise work on Python
+floats, which give the ndarray formula's bits (see `_gradient`).
 
 Two angle variables appear throughout the package:
 
@@ -47,6 +49,7 @@ _NORM_FLOOR = 1e-300
 # Unit-vector and degenerate-angle tolerances for the moment closed forms.
 _UNIT_TOL = 1e-10
 _SIN_FLOOR = 1e-10
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,8 @@ class NeuronConfig:
 
     The teacher is balanced: each of its m hidden scalars equals
     target_norm = ||target_w||, so their product is target_norm^m. Both are
-    computed once, at construction.
+    computed once, at construction, together with target_floats, the
+    entries of target_w as Python floats, which the gradient kernel reads.
     """
 
     d: int
@@ -63,6 +67,7 @@ class NeuronConfig:
     target_w: np.ndarray
     target_norm: float = field(init=False)
     target_product: float = field(init=False)
+    target_floats: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -78,6 +83,7 @@ class NeuronConfig:
         object.__setattr__(self, "target_w", w)
         object.__setattr__(self, "target_norm", norm)
         object.__setattr__(self, "target_product", norm**self.m)
+        object.__setattr__(self, "target_floats", tuple(w.tolist()))
 
 
 @dataclass(frozen=True)
@@ -237,32 +243,41 @@ def population_gradient(
     _check_state(config, state)
     if not all(v > 0.0 for v in state.hidden):
         raise DomainError(f"hidden scalars must be positive, got {state.hidden}")
-    return _gradient(config, state.w, state.hidden)
+    grad_w, grad_hidden = _gradient(config, state.w, state.hidden)
+    return np.array(grad_w), np.array(grad_hidden)
 
 
 def _gradient(
     config: NeuronConfig, w: np.ndarray, hidden: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """population_gradient without its checks: the caller has checked the
-    shapes of w and hidden and the signs of the hidden scalars."""
+) -> tuple[list[float], list[float]]:
+    """population_gradient without its checks, as lists of floats: the
+    caller has checked the shapes of w and hidden and the signs of the
+    hidden scalars.
+
+    The two reductions, ||w||^2 and w.w*, are the BLAS dots of `_angles`;
+    every elementwise operation runs on Python floats, in one pass over
+    w.tolist() and the teacher's floats, as c1 w - c2 (c3 w* + c4 w). A
+    NumPy elementwise op and a Python float op are each one IEEE-754
+    double operation with no fused multiply-add, so the same operands in
+    the same order give what the ndarray form of the formula gives, bit for
+    bit, at a fraction of its dispatch cost on small d.
+    """
     norm, _, phi = _angles(config, w)
     p = math.prod(hidden, start=1.0)
     p_star = config.target_product
     t_norm = config.target_norm
     sin_phi = math.sin(phi)
-    cos_phi = math.cos(phi)
-
-    grad_w = 0.5 * p * p * w - p * p_star * (
-        (phi / (2.0 * math.pi)) * config.target_w
-        + (sin_phi / (2.0 * math.pi)) * (t_norm / norm) * w
-    )
-
-    if config.m == 0:
-        return grad_w, np.zeros(0)
+    c1 = 0.5 * p * p
+    c2 = p * p_star
+    c3 = phi / _TWO_PI
+    c4 = (sin_phi / _TWO_PI) * (t_norm / norm)
+    grad_w = [c1 * x - c2 * (c3 * t + c4 * x) for x, t in zip(w.tolist(), config.target_floats)]
+    if not hidden:
+        return grad_w, []
     shared = 0.5 * p * norm * norm - p_star * norm * t_norm * (
-        (sin_phi - phi * cos_phi) / (2.0 * math.pi)
+        (sin_phi - phi * math.cos(phi)) / _TWO_PI
     )
-    return grad_w, np.array([(p / v) * shared for v in hidden])
+    return grad_w, [(p / v) * shared for v in hidden]
 
 
 def polar_of(config: NeuronConfig, state: WeightState) -> PolarState:

@@ -8,7 +8,6 @@ sizeable share of arbitrary streams.
 """
 import dataclasses
 import math
-import tempfile
 import time
 
 import numpy as np
@@ -29,7 +28,7 @@ from reluflow.descent import (
     run_gd,
     stopping_time,
 )
-from reluflow.experiments import RunConfig, run_experiment
+from reluflow.experiments import DescentMemo, RunConfig, plan_descents, run_experiment
 from reluflow.flow import (
     FlowSpec,
     epsilon_gap,
@@ -463,37 +462,35 @@ def test_criterion_11_balanced_gap_conservation():
 # criterion 12: figure-grade runs at desk scale
 
 
-def test_criterion_12_figure_reproductions():
-    ok = True
-    failures = []
-
-    def run_ok(kind, res, need_enforced_angle=False):
-        names = {c["name"] for c in res.report["checks"]}
-        good = res.passed and (not need_enforced_angle or "angle_envelope" in names)
-        if not good:
-            failures.append(kind)
-        return good
-
+def test_criterion_12_figure_reproductions(tmp_path):
+    # (name, config keys, whether the angle band must be enforced)
+    cells = []
     for (m, scale), seed in ANGLE_CELL_SEEDS.items():
-        cfg = RunConfig(experiment="figure-angle", m=m, init_scale=scale,
-                        seed=seed, output_dir=tempfile.mkdtemp())
-        ok &= run_ok(f"angle-m{m}-{scale}", run_experiment(cfg),
-                     need_enforced_angle=True)
+        cells.append((f"angle-m{m}-{scale}", dict(experiment="figure-angle", m=m,
+                                                  init_scale=scale, seed=seed), True))
     for (m, scale), seed in MAGNITUDE_CELL_SEEDS.items():
-        cfg = RunConfig(experiment="figure-magnitude", m=m, init_scale=scale,
-                        seed=seed, output_dir=tempfile.mkdtemp())
-        ok &= run_ok(f"magnitude-m{m}-{scale}", run_experiment(cfg))
+        cells.append((f"magnitude-m{m}-{scale}", dict(experiment="figure-magnitude", m=m,
+                                                      init_scale=scale, seed=seed), False))
     for m, seed in REANCHOR_SEEDS.items():
-        cfg = RunConfig(experiment="reanchor", m=m, seed=seed,
-                        output_dir=tempfile.mkdtemp())
-        ok &= run_ok(f"reanchor-m{m}", run_experiment(cfg))
+        cells.append((f"reanchor-m{m}", dict(experiment="reanchor", m=m, seed=seed), False))
     for scale, seed in DEEP_SEEDS.items():
-        cfg = RunConfig(experiment="deep-general", init_scale=scale, seed=seed,
-                        output_dir=tempfile.mkdtemp())
-        ok &= run_ok(f"deep-{scale}", run_experiment(cfg))
+        cells.append((f"deep-{scale}", dict(experiment="deep-general", init_scale=scale,
+                                            seed=seed), False))
+    cfgs = [RunConfig(**keys, output_dir=str(tmp_path / name)) for name, keys, _ in cells]
+
+    # As one serial `reluflow run` over these configs does: plan every
+    # descent, march the distinct ones together, then run.
+    memo = DescentMemo()
+    memo.prefill(plan_descents(cfgs))
+    failures = []
+    for (name, _, need_enforced_angle), cfg in zip(cells, cfgs):
+        res = run_experiment(cfg, memo)
+        names = {c["name"] for c in res.report["checks"]}
+        if not (res.passed and (not need_enforced_angle or "angle_envelope" in names)):
+            failures.append(name)
     _verdict(
         12,
         "all fifteen figure cells, both re-anchor panels, both deep runs pass"
         + (f" (failed: {', '.join(failures)})" if failures else ""),
-        ok,
+        not failures,
     )
