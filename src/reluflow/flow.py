@@ -49,10 +49,10 @@ stride; it leaves the stack when it finishes or when its guard fails, and
 a failed row gets its error instead of a trajectory while the others go
 on. `integrate_vector` marches one row with one RK4 step of length h, bit
 for bit classic RK4 on `vector_rhs`, and hands the loop a (1, d) and a
-(1, m) array per step. `run_gd` marches one row with one
-descent step, with h = 1; `descent.run_gd_batch` marches many empirical
-descents together, which is how a serial ``reluflow run`` computes the
-distinct descents of its configs.
+(1, m) array per step. `run_gd` marches one row with one descent step, with
+h = 1; `descent.run_gd_batch` marches many empirical descents together,
+which is how a serial ``reluflow run`` computes the distinct descents of
+its configs.
 """
 from __future__ import annotations
 

@@ -74,7 +74,10 @@ class NeuronConfig:
             raise DomainError(f"d={self.d} must be a positive integer")
         if self.m < 0:
             raise DomainError(f"m={self.m} must be a non-negative integer")
-        w = np.asarray(self.target_w, dtype=float)
+        # A copy the caller cannot write to: the norm, product and floats
+        # below are cached from it.
+        w = np.array(self.target_w, dtype=float)
+        w.flags.writeable = False
         if w.shape != (self.d,):
             raise DimensionError(f"target_w has shape {w.shape}, expected ({self.d},)")
         norm = float(np.linalg.norm(w))

@@ -2,9 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from reluflow.errors import DegenerateAngleError, DimensionError, DomainError, ZeroVectorError
+from reluflow.errors import (
+    DegenerateAngleError,
+    DimensionError,
+    DivergenceError,
+    DomainError,
+    ZeroVectorError,
+)
+from reluflow.flow import integrate_vector
 from reluflow.population import (
     NeuronConfig,
     WeightState,
@@ -104,6 +111,18 @@ def test_config_validation():
     cfg = NeuronConfig(d=3, m=2, target_w=np.ones(3))
     assert cfg.target_norm == pytest.approx(math.sqrt(3.0))
     assert cfg.target_product == pytest.approx(math.sqrt(3.0) ** 2)
+
+
+def test_config_keeps_its_own_read_only_teacher():
+    target = np.array([1.0, 0.0, 0.0])
+    cfg = NeuronConfig(d=3, m=1, target_w=target)
+    state = WeightState(np.array([0.5, 0.5, 0.0]), (1.0,))
+    before = population_gradient(cfg, state)
+    target[0] = 3.0  # the caller's array, not the config's
+    assert cfg.target_w[0] == 1.0
+    assert all(np.array_equal(a, b) for a, b in zip(population_gradient(cfg, state), before))
+    with pytest.raises(ValueError):
+        cfg.target_w[0] = 3.0
 
 
 def test_weight_state_validation():
@@ -245,3 +264,81 @@ def test_gradient_equals_the_closed_form_as_written():
         assert np.array_equal(gw, want_w), case
         assert np.array_equal(gh, want_h), case
     assert near > 100
+
+
+def _rk4_step_as_written(config, state, h):
+    """One classic RK4 step of the vector flow on `_gradient_as_written`, in
+    ndarray form: the oracle for `integrate_vector`'s float stages."""
+    d = config.d
+
+    def grad(y):
+        return np.concatenate(_gradient_as_written(config, WeightState(y[:d], tuple(y[d:]))))
+
+    y = np.concatenate([state.w, np.array(state.hidden)])
+    g1 = grad(y)
+    g2 = grad(y - (0.5 * h) * g1)
+    g3 = grad(y - (0.5 * h) * g2)
+    g4 = grad(y - h * g3)
+    y = y - (h / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+    return y[:d], y[d:]
+
+
+@st.composite
+def _kernel_cases(draw):
+    d, m = draw(st.integers(1, 12)), draw(st.integers(0, 4))
+    entries = st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)
+    target = np.array(draw(entries))
+    assume(np.linalg.norm(target) > 0.1)
+    other = np.array(draw(entries))
+    start = draw(st.sampled_from(["generic", "aligned", "anti-aligned", "tiny"]))
+    if start == "generic":
+        w = other
+    elif start == "tiny":
+        # Norms from where w.dot(w) still holds a subnormal down to where it
+        # underflows to 0, below the kernel's norm floor (an all-zero draw
+        # of `other` is below it at any scale).
+        w = other * 10.0 ** draw(st.floats(-170.0, -155.0))
+    else:
+        # theta (or pi - theta) below 1e-7: the teacher's direction plus a
+        # tilt of relative size at most 1e-8, scaled and signed.
+        tilt = other / max(float(np.linalg.norm(other)), 1e-300)
+        scale = draw(st.floats(0.2, 3.0)) * (1.0 if start == "aligned" else -1.0)
+        w = scale * (target + draw(st.floats(0.0, 1e-8)) * float(np.linalg.norm(target)) * tilt)
+    hidden = tuple(draw(st.lists(st.floats(0.3, 1.5), min_size=m, max_size=m)))
+    h = draw(st.floats(1e-4, 1e-2))
+    return NeuronConfig(d=d, m=m, target_w=target), WeightState(w, hidden), h
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# vector_rhs calls the kernel itself, so only the ndarray oracles above can
+# pin the bits of the kernel and of integrate_vector's float RK4 stages. A
+# step that blows up overflows in the oracle's ndarray ops; the guard then
+# raises, and the test asks the same of integrate_vector.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(_kernel_cases())
+def test_gradient_and_one_rk4_step_equal_the_ndarray_form_bit_for_bit(case):
+    config, state, h = case
+    if math.sqrt(float(state.w.dot(state.w))) < 1e-300:
+        with pytest.raises(ZeroVectorError):
+            population_gradient(config, state)
+        with pytest.raises(ZeroVectorError):
+            integrate_vector(config, state, t_end=h, dt=h)
+        return
+    got_w, got_hidden = population_gradient(config, state)
+    want_w, want_hidden = _gradient_as_written(config, state)
+    assert _same_bits(got_w, want_w)
+    assert _same_bits(got_hidden, want_hidden)
+
+    want_w, want_hidden = _rk4_step_as_written(config, state, h)
+    if not (math.sqrt(float(want_w.dot(want_w))) <= 1e12
+            and all(0.0 < v < math.inf for v in want_hidden)):
+        with pytest.raises(DivergenceError):
+            integrate_vector(config, state, t_end=h, dt=h)
+        return
+    got = integrate_vector(config, state, t_end=h, dt=h).weight_states[-1]
+    assert _same_bits(got.w, want_w)
+    assert got.hidden == tuple(want_hidden.tolist())
