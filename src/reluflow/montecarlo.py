@@ -3,8 +3,19 @@
 Everything here estimates an expectation by plain Monte Carlo and reports a
 standard error, so closed-form results can be verified against an
 implementation that shares no code with them. Estimators draw from an owned
-generator seeded per call and accumulate in fixed-size chunks, which keeps
-memory bounded and results bit-stable for a given seed.
+generator seeded per call, so results are bit-stable for a given seed.
+
+One accumulator, `_accumulate`, draws every estimator's samples and owns the
+block size and the draw buffers. It draws in chunks of 65,536 samples and
+each chunk in blocks: a block is the whole chunk while 65,536 x d doubles
+fit in 8 MiB (d <= 16), and 2^20 // d rows above that. Each call allocates
+its block buffers once, reuses them for every block and drops them when it
+returns; nothing is cached between calls. An estimator's per-block
+arithmetic writes its (rows, d) temporaries into those buffers in place,
+so a call holds a few blocks whatever n and d are. The samples do not
+depend on the block size: the generator fills the buffers in stream order,
+so a seed draws the same samples as one (n, d) draw would. Only the grouping
+of partial sums follows the block, and at d <= 16 a block is a chunk.
 
 `dist` selects the input law: 'gaussian' is x ~ N(0, I_d); 'sphere' is the
 uniform unit sphere (normalized Gaussians), under which all the second
@@ -21,12 +32,19 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .population import NeuronConfig, WeightState, _check_unit
 
+# Samples per chunk, the unit of every estimator's sample stream.
 _CHUNK = 1 << 16
+# Doubles per (rows, d) block buffer: 8 MiB.
+_BLOCK = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McEstimate:
-    """A Monte Carlo mean with per-entry standard error of the mean."""
+    """A Monte Carlo mean with per-entry standard error of the mean.
+
+    It holds arrays, so equality is identity (eq=False): a generated
+    __eq__ would ask an array for its truth value.
+    """
 
     value: np.ndarray
     stderr: np.ndarray
@@ -40,13 +58,16 @@ class McEstimate:
             raise DomainError("stderr entries must be non-negative")
 
 
-def _draw(rng: np.random.Generator, count: int, d: int, dist: str) -> np.ndarray:
-    x = rng.standard_normal((count, d))
-    if dist == "sphere":
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-    elif dist != "gaussian":
+def _check_dist(dist: str) -> None:
+    if dist not in ("gaussian", "sphere"):
         raise DomainError(f"unknown dist {dist!r}")
-    return x
+
+
+def _to_sphere(x: np.ndarray, t: np.ndarray) -> None:
+    """Scale the rows of x to unit length in place, bit for bit as
+    x / np.linalg.norm(x, axis=1, keepdims=True); t takes the squares."""
+    np.multiply(x, x, out=t)
+    x /= np.sqrt(np.add.reduce(t, axis=1, keepdims=True))
 
 
 def _finish(s1: np.ndarray, s2: np.ndarray, n: int, seed: int) -> McEstimate:
@@ -55,33 +76,68 @@ def _finish(s1: np.ndarray, s2: np.ndarray, n: int, seed: int) -> McEstimate:
     return McEstimate(value=mean, stderr=np.sqrt(var / n), n=n, seed=seed)
 
 
-def _accumulate(
-    n: int, seed: int, chunk_sums: Callable[[np.random.Generator, int], tuple]
-) -> list[McEstimate]:
-    """Chunked Monte Carlo means over n draws from a generator seeded by seed.
+def _block_rows(d: int) -> int:
+    """Rows per block: a whole chunk while it fits in _BLOCK doubles (d <= 16)."""
+    return max(1, min(_CHUNK, _BLOCK // d))
 
-    chunk_sums(rng, count) draws count samples and returns, for each
-    estimate, its partial sum and partial sum of squares, flattened as
-    (s1, s2, s1', s2', ...); the partials are totalled over chunks of at
-    most _CHUNK samples and closed into one McEstimate per pair.
+
+def _accumulate(
+    n: int,
+    seed: int,
+    d: int,
+    block_sums: Callable[..., tuple],
+    *,
+    scratch: bool = False,
+    paired: bool = False,
+) -> list[McEstimate]:
+    """Monte Carlo means over n samples from a generator seeded by seed.
+
+    Samples are drawn in chunks of _CHUNK and each chunk in blocks of
+    _block_rows(d) rows, into buffers allocated once per call. block_sums
+    gets each block x of standard normals, shape (rows, d), which it may
+    overwrite, and returns for each estimate its partial sum and partial sum
+    of squares over the block, flattened as (s1, s2, s1', s2', ...); the
+    partials are totalled over blocks and closed into one McEstimate per
+    pair. With scratch, block_sums(x, t) also gets an undrawn buffer t of
+    x's shape for its temporaries. With paired, a sample is a pair of rows:
+    each chunk first draws its (count, d) lead rows whole, then x block by
+    block, and block_sums(x, u) gets the lead rows u that match x.
     """
     if n < 2:
         raise DomainError("n must be >= 2")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rows = min(_block_rows(d), n)
+    x = np.empty((rows, d))
+    spare = np.empty((rows, d)) if scratch else None
+    lead = np.empty((min(_CHUNK, n), d)) if paired else None
     totals: list = []
-    left = n
-    while left > 0:
-        count = min(_CHUNK, left)
-        parts = chunk_sums(rng, count)
-        totals = [t + p for t, p in zip(totals or [0.0] * len(parts), parts)]
-        left -= count
+    for start in range(0, n, _CHUNK):
+        count = min(_CHUNK, n - start)
+        if paired:
+            rng.standard_normal(out=lead[:count])
+        for lo in range(0, count, rows):
+            k = min(rows, count - lo)
+            block = rng.standard_normal(out=x[:k])
+            if paired:
+                parts = block_sums(block, lead[lo:lo + k])
+            elif scratch:
+                parts = block_sums(block, spare[:k])
+            else:
+                parts = block_sums(block)
+            totals = [t + p for t, p in zip(totals or [0.0] * len(parts), parts)]
     return [_finish(s1, s2, n, seed) for s1, s2 in zip(totals[::2], totals[1::2])]
 
 
-def _weighted_outer_sums(ind: np.ndarray, x: np.ndarray) -> tuple:
-    """Chunk sums of ind x x^T and of its entrywise squares (ind is 0/1)."""
-    xx = x * x
-    return (x * ind[:, None]).T @ x, (xx * ind[:, None]).T @ xx
+def _weighted_outer_sums(ind: np.ndarray, x: np.ndarray, t: np.ndarray) -> tuple:
+    """Block sums of ind x x^T and of its entrywise squares (ind is 0/1).
+
+    Overwrites t with the weighted rows x ind, then t and x with their
+    squares: (x ind)^2 is x^2 ind bit for bit, as ind is 0 or 1.
+    """
+    s1 = np.multiply(x, ind.astype(float)[:, None], out=t).T @ x
+    np.multiply(t, t, out=t)
+    np.multiply(x, x, out=x)
+    return s1, t.T @ x
 
 
 def _scalar_sums(y: np.ndarray) -> tuple:
@@ -93,13 +149,14 @@ def mc_half_space_moment(
 ) -> McEstimate:
     """Estimate E[ 1{u.x > 0} x x^T ] with per-entry standard errors."""
     u = _check_unit(u, "u")
-    d = u.shape[0]
+    _check_dist(dist)
 
-    def chunk(rng: np.random.Generator, count: int) -> tuple:
-        x = _draw(rng, count, d, dist)
-        return _weighted_outer_sums((x @ u > 0.0).astype(float), x)
+    def block(x: np.ndarray, t: np.ndarray) -> tuple:
+        if dist == "sphere":
+            _to_sphere(x, t)
+        return _weighted_outer_sums(x @ u > 0.0, x, t)
 
-    return _accumulate(n, seed, chunk)[0]
+    return _accumulate(n, seed, u.shape[0], block, scratch=True)[0]
 
 
 def mc_double_wedge_moment(
@@ -110,13 +167,14 @@ def mc_double_wedge_moment(
     v = _check_unit(v, "v")
     if u.shape != v.shape:
         raise DimensionError("u and v must share a dimension")
-    d = u.shape[0]
+    _check_dist(dist)
 
-    def chunk(rng: np.random.Generator, count: int) -> tuple:
-        x = _draw(rng, count, d, dist)
-        return _weighted_outer_sums(((x @ u > 0.0) & (x @ v > 0.0)).astype(float), x)
+    def block(x: np.ndarray, t: np.ndarray) -> tuple:
+        if dist == "sphere":
+            _to_sphere(x, t)
+        return _weighted_outer_sums((x @ u > 0.0) & (x @ v > 0.0), x, t)
 
-    return _accumulate(n, seed, chunk)[0]
+    return _accumulate(n, seed, u.shape[0], block, scratch=True)[0]
 
 
 def mc_relu_product(u: np.ndarray, v: np.ndarray, n: int, seed: int) -> McEstimate:
@@ -126,11 +184,10 @@ def mc_relu_product(u: np.ndarray, v: np.ndarray, n: int, seed: int) -> McEstima
     if u.shape != v.shape:
         raise DimensionError("u and v must share a dimension")
 
-    def chunk(rng: np.random.Generator, count: int) -> tuple:
-        x = _draw(rng, count, u.shape[0], "gaussian")
+    def block(x: np.ndarray) -> tuple:
         return _scalar_sums(np.maximum(x @ u, 0.0) * np.maximum(x @ v, 0.0))
 
-    return _accumulate(n, seed, chunk)[0]
+    return _accumulate(n, seed, u.shape[0], block)[0]
 
 
 def mc_population_loss(config: NeuronConfig, state: WeightState, n: int, seed: int) -> McEstimate:
@@ -138,12 +195,11 @@ def mc_population_loss(config: NeuronConfig, state: WeightState, n: int, seed: i
     p = state.product
     p_star = config.target_product
 
-    def chunk(rng: np.random.Generator, count: int) -> tuple:
-        x = _draw(rng, count, config.d, "gaussian")
+    def block(x: np.ndarray) -> tuple:
         err = p * np.maximum(x @ state.w, 0.0) - p_star * np.maximum(x @ config.target_w, 0.0)
         return _scalar_sums(0.5 * err * err)
 
-    return _accumulate(n, seed, chunk)[0]
+    return _accumulate(n, seed, config.d, block)[0]
 
 
 def mc_population_gradient(
@@ -158,23 +214,23 @@ def mc_population_gradient(
     """
     if any(v <= 0.0 for v in state.hidden):
         raise DomainError("hidden scalars must be positive")
-    d = config.d
     p = state.product
     p_star = config.target_product
     hidden = np.array(state.hidden, dtype=float)
 
-    def chunk(rng: np.random.Generator, count: int) -> tuple:
-        x = _draw(rng, count, d, "gaussian")
+    def block(x: np.ndarray) -> tuple:
         pre = x @ state.w
         ind = pre > 0.0
         act = np.where(ind, pre, 0.0)
         e = p * act - p_star * np.maximum(x @ config.target_w, 0.0)
-        gw = (p * e * ind)[:, None] * x
-        sums_w = gw.sum(axis=0), (gw * gw).sum(axis=0)
         gh = (e * act)[:, None] * (p / hidden)[None, :]
-        return *sums_w, gh.sum(axis=0), (gh * gh).sum(axis=0)
+        # The weight gradients overwrite x, and then their squares overwrite them.
+        gw = np.multiply(x, (p * e * ind)[:, None], out=x)
+        s1 = gw.sum(axis=0)
+        s2 = np.multiply(gw, gw, out=gw).sum(axis=0)
+        return s1, s2, gh.sum(axis=0), (gh * gh).sum(axis=0)
 
-    est_w, est_h = _accumulate(n, seed, chunk)
+    est_w, est_h = _accumulate(n, seed, config.d, block)
     return est_w, est_h
 
 
@@ -190,16 +246,16 @@ def angle_concentration(d: int, eps: float, trials: int, seed: int) -> tuple[flo
     if eps <= 0:
         raise DomainError("eps must be positive")
 
-    def chunk(rng: np.random.Generator, count: int) -> tuple:
-        u = rng.standard_normal((count, d))
-        v = rng.standard_normal((count, d))
+    def block(v: np.ndarray, u: np.ndarray) -> tuple:
         # Row norms by einsum: np.linalg.norm would square u and v into two
-        # more (count, d) temporaries.
+        # more (rows, d) temporaries.
         cos = np.einsum("ni,ni->n", u, v) / (
             np.sqrt(np.einsum("ni,ni->n", u, u)) * np.sqrt(np.einsum("ni,ni->n", v, v))
         )
         hits = float(np.count_nonzero(cos < eps))
         return hits, hits  # a 0/1 indicator is its own square
 
-    fraction = float(_accumulate(trials, seed, chunk)[0].value)
+    # Each chunk's u rows are drawn whole before its v rows, as the pairs
+    # have always been drawn, so the count is the same at every block size.
+    fraction = float(_accumulate(trials, seed, d, block, paired=True)[0].value)
     return fraction, 1.0 - 2.0 * math.exp(-0.5 * d * eps * eps)

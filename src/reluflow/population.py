@@ -52,7 +52,7 @@ _SIN_FLOOR = 1e-10
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeuronConfig:
     """Problem instance: dimensions, depth, and the planted teacher.
 
@@ -60,6 +60,8 @@ class NeuronConfig:
     target_norm = ||target_w||, so their product is target_norm^m. Both are
     computed once, at construction, together with target_floats, the
     entries of target_w as Python floats, which the gradient kernel reads.
+    Equality is identity: a generated __eq__ would ask an array for its
+    truth value.
     """
 
     d: int
@@ -67,7 +69,7 @@ class NeuronConfig:
     target_w: np.ndarray
     target_norm: float = field(init=False)
     target_product: float = field(init=False)
-    target_floats: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    target_floats: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -89,9 +91,12 @@ class NeuronConfig:
         object.__setattr__(self, "target_floats", tuple(w.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightState:
-    """Student parameters: weight vector plus the m hidden scalars."""
+    """Student parameters: weight vector plus the m hidden scalars.
+
+    Equality is identity, as for NeuronConfig.
+    """
 
     w: np.ndarray
     hidden: tuple[float, ...] = field(default_factory=tuple)

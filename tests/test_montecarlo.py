@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,18 +116,141 @@ def test_angle_concentration_vacuous_in_low_dimension():
 
 def test_angle_concentration_counts_every_trial_of_its_stream():
     # 70,001 trials is one full chunk plus a short tail, so a dropped,
-    # doubled or re-drawn tail would move the fraction.
-    d, eps, trials, seed = 7, 0.2, 70_001, 13
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    hits = 0
-    for count in (_CHUNK, trials - _CHUNK):
-        u = rng.standard_normal((count, d))
-        v = rng.standard_normal((count, d))
-        cos = (u * v).sum(axis=1) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
-        hits += int(np.count_nonzero(cos < eps))
-    fraction, bound = angle_concentration(d, eps, trials, seed)
-    assert fraction == hits / trials
-    assert bound == 1.0 - 2.0 * math.exp(-0.5 * d * eps * eps)
+    # doubled or re-drawn tail would move the fraction. At d = 160 a chunk's
+    # v rows are drawn in several blocks, each paired with its u rows.
+    eps, trials, seed = 0.2, 70_001, 13
+    for d in (7, 160):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        hits = 0
+        for count in (_CHUNK, trials - _CHUNK):
+            u = rng.standard_normal((count, d))
+            v = rng.standard_normal((count, d))
+            for lo in range(0, count, 8192):  # slices keep the temporaries small
+                a, b = u[lo:lo + 8192], v[lo:lo + 8192]
+                cos = (a * b).sum(axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+                hits += int(np.count_nonzero(cos < eps))
+        fraction, bound = angle_concentration(d, eps, trials, seed)
+        assert fraction == hits / trials
+        assert bound == 1.0 - 2.0 * math.exp(-0.5 * d * eps * eps)
+
+
+def _stream_oracle(n, seed, d, sums, sphere=False):
+    """One (n, d) draw of an estimator's stream, summed per 65,536-row chunk
+    with the estimator's formulas written out plainly, and closed as
+    (mean, stderr) pairs."""
+    x = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal((n, d))
+    if sphere:
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+    totals = None
+    for lo in range(0, n, _CHUNK):
+        parts = sums(x[lo:lo + _CHUNK])
+        totals = [0.0 + p for p in parts] if totals is None else [t + p for t, p in zip(totals, parts)]
+    out = []
+    for s1, s2 in zip(totals[::2], totals[1::2]):
+        mean = np.asarray(s1) / n
+        out.append((mean, np.sqrt(np.maximum(s2 - n * mean * mean, 0.0) / (n - 1) / n)))
+    return out
+
+
+def _outer_sums(ind, x):
+    xx = x * x
+    w = ind.astype(float)[:, None]
+    return (x * w).T @ x, (xx * w).T @ xx
+
+
+def _stream_case(name, d):
+    """(estimator call, oracle call) for one estimator at dimension d."""
+    rng = np.random.default_rng(d)
+    u = rng.standard_normal(d)
+    u /= np.linalg.norm(u)
+    v = rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    cfg = NeuronConfig(d=d, m=2, target_w=rng.standard_normal(d) / math.sqrt(d))
+    state = WeightState(rng.standard_normal(d) / math.sqrt(d), (0.8, 1.3))
+    p, p_star = state.product, cfg.target_product
+    hidden = np.array(state.hidden)
+
+    def half(x):
+        return _outer_sums(x @ u > 0.0, x)
+
+    def wedge(x):
+        return _outer_sums((x @ u > 0.0) & (x @ v > 0.0), x)
+
+    def relu(x):
+        y = np.maximum(x @ u, 0.0) * np.maximum(x @ v, 0.0)
+        return float(y.sum()), float((y * y).sum())
+
+    def loss(x):
+        err = p * np.maximum(x @ state.w, 0.0) - p_star * np.maximum(x @ cfg.target_w, 0.0)
+        y = 0.5 * err * err
+        return float(y.sum()), float((y * y).sum())
+
+    def gradient(x):
+        pre = x @ state.w
+        act = np.maximum(pre, 0.0)
+        e = p * act - p_star * np.maximum(x @ cfg.target_w, 0.0)
+        gw = (p * e * (pre > 0.0))[:, None] * x
+        gh = (e * act)[:, None] * (p / hidden)[None, :]
+        return gw.sum(axis=0), (gw * gw).sum(axis=0), gh.sum(axis=0), (gh * gh).sum(axis=0)
+
+    def pairs(*estimates):
+        return [(e.value, e.stderr) for e in estimates]
+
+    return {
+        "half_space": (lambda n, s: pairs(mc_half_space_moment(u, n, s)), half, False),
+        "half_space_sphere": (
+            lambda n, s: pairs(mc_half_space_moment(u, n, s, dist="sphere")), half, True),
+        "double_wedge": (lambda n, s: pairs(mc_double_wedge_moment(u, v, n, s)), wedge, False),
+        "double_wedge_sphere": (
+            lambda n, s: pairs(mc_double_wedge_moment(u, v, n, s, dist="sphere")), wedge, True),
+        "relu_product": (lambda n, s: pairs(mc_relu_product(u, v, n, s)), relu, False),
+        "population_loss": (lambda n, s: pairs(mc_population_loss(cfg, state, n, s)), loss, False),
+        "population_gradient": (
+            lambda n, s: pairs(*mc_population_gradient(cfg, state, n, s)), gradient, False),
+    }[name]
+
+
+@pytest.mark.parametrize("d", [16, 160])
+@pytest.mark.parametrize("name", [
+    "half_space", "half_space_sphere", "double_wedge", "double_wedge_sphere",
+    "relu_product", "population_loss", "population_gradient",
+])
+def test_estimates_equal_a_one_shot_pass_over_their_stream(name, d):
+    # n is one full chunk plus a short tail. Up to d = 16 a block is a whole
+    # chunk, so the estimate is the chunked oracle's bit for bit; at d = 160
+    # a chunk is summed in blocks, which regroups the partial sums only.
+    n, seed = 70_001, 21
+    estimate, sums, sphere = _stream_case(name, d)
+    got = estimate(n, seed)
+    want = _stream_oracle(n, seed, d, sums, sphere)
+    assert len(got) == len(want)
+    for (value, stderr), (v_ref, s_ref) in zip(got, want):
+        for a, b in ((value, v_ref), (stderr, s_ref)):
+            if d <= 16:
+                assert np.array_equal(a, b)
+            else:
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_a_call_holds_blocks_not_chunks():
+    # At d = 160 a 65,536-row chunk of doubles is 84 MB. The gradient holds
+    # one 8 MB block; concentration holds one chunk of u rows (the pairs' u
+    # halves are drawn whole) and one block of v rows.
+    d, n = 160, 125_000
+    rng = np.random.default_rng(4)
+    cfg = NeuronConfig(d=d, m=2, target_w=rng.standard_normal(d) / math.sqrt(d))
+    state = WeightState(rng.standard_normal(d) / math.sqrt(d), (0.9, 1.2))
+    tracemalloc.start()
+    try:
+        mc_population_gradient(cfg, state, n, seed=5)
+        gradient_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        angle_concentration(d, 0.3, n, seed=6)
+        concentration_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gradient_peak < 32e6
+    assert concentration_peak < _CHUNK * d * 8 + 16e6
 
 
 def test_angle_concentration_rejects_tiny_trial_counts():

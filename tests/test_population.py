@@ -12,6 +12,7 @@ from reluflow.errors import (
     ZeroVectorError,
 )
 from reluflow.flow import integrate_vector
+from reluflow.montecarlo import McEstimate
 from reluflow.population import (
     NeuronConfig,
     WeightState,
@@ -131,6 +132,20 @@ def test_weight_state_validation():
         population_loss(cfg, WeightState(np.array([1.0, 0.0]), ()))
     with pytest.raises(DimensionError):
         population_loss(cfg, WeightState(np.array([1.0, 0.0, 0.0]), (1.0,)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: NeuronConfig(d=2, m=0, target_w=np.ones(2)),
+    lambda: WeightState(np.ones(2), (1.0,)),
+    lambda: McEstimate(value=np.ones(2), stderr=np.ones(2), n=10, seed=0),
+], ids=["NeuronConfig", "WeightState", "McEstimate"])
+def test_records_holding_arrays_compare_by_identity(make):
+    # A generated __eq__ would compare the arrays and raise on their truth value.
+    a, b = make(), make()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert a in {a} and b not in {a}
+    assert len({a, b, a}) == 2
 
 
 def test_polar_of_reference_points():
