@@ -58,18 +58,6 @@ class McEstimate:
             raise DomainError("stderr entries must be non-negative")
 
 
-def _check_dist(dist: str) -> None:
-    if dist not in ("gaussian", "sphere"):
-        raise DomainError(f"unknown dist {dist!r}")
-
-
-def _to_sphere(x: np.ndarray, t: np.ndarray) -> None:
-    """Scale the rows of x to unit length in place, bit for bit as
-    x / np.linalg.norm(x, axis=1, keepdims=True); t takes the squares."""
-    np.multiply(x, x, out=t)
-    x /= np.sqrt(np.add.reduce(t, axis=1, keepdims=True))
-
-
 def _finish(s1: np.ndarray, s2: np.ndarray, n: int, seed: int) -> McEstimate:
     mean = np.asarray(s1) / n
     var = np.maximum(s2 - n * mean * mean, 0.0) / (n - 1)
@@ -128,16 +116,25 @@ def _accumulate(
     return [_finish(s1, s2, n, seed) for s1, s2 in zip(totals[::2], totals[1::2])]
 
 
-def _weighted_outer_sums(ind: np.ndarray, x: np.ndarray, t: np.ndarray) -> tuple:
-    """Block sums of ind x x^T and of its entrywise squares (ind is 0/1).
+def _masked_second_moment(
+    indicator: Callable[[np.ndarray], np.ndarray], d: int, n: int, seed: int, dist: str
+) -> McEstimate:
+    """Estimate E[ indicator(x) x x^T ] for a 0/1 indicator of the rows of x."""
+    if dist not in ("gaussian", "sphere"):
+        raise DomainError(f"unknown dist {dist!r}")
 
-    Overwrites t with the weighted rows x ind, then t and x with their
-    squares: (x ind)^2 is x^2 ind bit for bit, as ind is 0 or 1.
-    """
-    s1 = np.multiply(x, ind.astype(float)[:, None], out=t).T @ x
-    np.multiply(t, t, out=t)
-    np.multiply(x, x, out=x)
-    return s1, t.T @ x
+    def block(x: np.ndarray, t: np.ndarray) -> tuple:
+        if dist == "sphere":  # x / np.linalg.norm(x, axis=1), bit for bit
+            np.multiply(x, x, out=t)
+            x /= np.sqrt(np.add.reduce(t, axis=1, keepdims=True))
+        # t takes the weighted rows x ind, then t and x their squares:
+        # (x ind)^2 is x^2 ind bit for bit, as ind is 0 or 1.
+        s1 = np.multiply(x, indicator(x).astype(float)[:, None], out=t).T @ x
+        np.multiply(t, t, out=t)
+        np.multiply(x, x, out=x)
+        return s1, t.T @ x
+
+    return _accumulate(n, seed, d, block, scratch=True)[0]
 
 
 def _scalar_sums(y: np.ndarray) -> tuple:
@@ -149,14 +146,7 @@ def mc_half_space_moment(
 ) -> McEstimate:
     """Estimate E[ 1{u.x > 0} x x^T ] with per-entry standard errors."""
     u = _check_unit(u, "u")
-    _check_dist(dist)
-
-    def block(x: np.ndarray, t: np.ndarray) -> tuple:
-        if dist == "sphere":
-            _to_sphere(x, t)
-        return _weighted_outer_sums(x @ u > 0.0, x, t)
-
-    return _accumulate(n, seed, u.shape[0], block, scratch=True)[0]
+    return _masked_second_moment(lambda x: x @ u > 0.0, u.shape[0], n, seed, dist)
 
 
 def mc_double_wedge_moment(
@@ -167,14 +157,8 @@ def mc_double_wedge_moment(
     v = _check_unit(v, "v")
     if u.shape != v.shape:
         raise DimensionError("u and v must share a dimension")
-    _check_dist(dist)
-
-    def block(x: np.ndarray, t: np.ndarray) -> tuple:
-        if dist == "sphere":
-            _to_sphere(x, t)
-        return _weighted_outer_sums((x @ u > 0.0) & (x @ v > 0.0), x, t)
-
-    return _accumulate(n, seed, u.shape[0], block, scratch=True)[0]
+    return _masked_second_moment(
+        lambda x: (x @ u > 0.0) & (x @ v > 0.0), u.shape[0], n, seed, dist)
 
 
 def mc_relu_product(u: np.ndarray, v: np.ndarray, n: int, seed: int) -> McEstimate:
