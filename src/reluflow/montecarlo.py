@@ -239,7 +239,7 @@ def angle_concentration(d: int, eps: float, trials: int, seed: int) -> tuple[flo
         hits = float(np.count_nonzero(cos < eps))
         return hits, hits  # a 0/1 indicator is its own square
 
-    # Each chunk's u rows are drawn whole before its v rows, as the pairs
-    # have always been drawn, so the count is the same at every block size.
+    # Each chunk's u rows are drawn whole before its v rows, so the pairs,
+    # and the count, do not depend on the block size.
     fraction = float(_accumulate(trials, seed, d, block, paired=True)[0].value)
     return fraction, 1.0 - 2.0 * math.exp(-0.5 * d * eps * eps)
