@@ -4,7 +4,7 @@ Examples::
 
     reluflow list-experiments
     reluflow run --config configs/angle-m0-small.cfg --seed 7
-    reluflow run --config a.cfg --config b.cfg --jobs 2 --out runs/batch
+    reluflow run --config a.cfg --config b.cfg --out runs/batch
     reluflow run --config configs/reanchor-m1.cfg --out runs/reanchor
     reluflow run --config configs/lemma-verify.cfg --seed 0
 
@@ -14,24 +14,25 @@ anchor steps under its ``anchors`` key; the Monte Carlo moment check is
 ``lemma-verify``, with the dimension under ``d`` and the samples per
 estimate under ``n``.
 
-One serial invocation plans the descents of its configs first and marches
-the distinct ones together, one batch per dimension, before the runs
-start; each distinct descent is computed once. Runs whose descents have the
-same inputs (``angle-m0-small`` and ``magnitude-m0-small``, say) share one
-trajectory, and the line of every such run after the first ends with
-``(descent shared)``. ``--jobs`` workers share nothing. Either way every
-artifact is byte-identical to the run's own.
+An invocation runs its configs one after another. It plans their descents
+first and marches the distinct ones together, one batch per dimension,
+before the runs start; each distinct descent is computed once. Runs whose
+descents have the same inputs (``angle-m0-small`` and
+``magnitude-m0-small``, say) share one trajectory, and the line of every
+such run after the first ends with ``(descent shared)``. Every artifact is
+byte-identical to the run's own.
 
 Exit status is 0 exactly when every check in every run passed, 1 when some
-check failed, 2 on a configuration or usage error, and 3 when a run failed:
-a trajectory diverged, an iteration did not converge, no evaluation path
-exists, or a routine was handed an argument outside its domain.
+check failed, 2 on a configuration or usage error (two configs naming one
+output directory, or an output that cannot be written, included), and 3
+when a run failed: a trajectory diverged, an iteration did not converge, no
+evaluation path exists, a routine was handed an argument outside its
+domain, or a float operation overflowed or divided by zero.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -74,13 +75,6 @@ def _report(res: ExperimentResult) -> bool:
     return res.passed
 
 
-def _at_least_one(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reluflow",
@@ -96,8 +90,8 @@ def _parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="config file; repeat to run several",
     )
-    p_run.add_argument("--jobs", type=_at_least_one, default=1,
-                       help="parallel processes, at most one per config")
+    p_run.add_argument("--jobs", type=int, choices=[1], default=1,
+                       help="runs are serial; kept for command lines that pass 1")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument(
         "--paper-scale",
@@ -123,22 +117,24 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{name:<{width}}  {EXPERIMENTS[name].description}")
             return 0
         cfgs = [_load(p, args, multi=len(args.config) > 1) for p in args.config]
-        if args.jobs > 1 and len(cfgs) > 1:
-            # One task per config, each with its own memo: workers share nothing.
-            with ProcessPoolExecutor(max_workers=min(args.jobs, len(cfgs))) as ex:
-                results = list(ex.map(run_experiment, cfgs))
-        else:
-            memo = DescentMemo()  # this invocation's descents, dropped on return
-            memo.prefill(plan_descents(cfgs))
-            results = [run_experiment(c, memo) for c in cfgs]
+        owners: dict[Path, str] = {}  # two runs into one directory overwrite each other
+        for path, cfg in zip(args.config, cfgs):
+            if cfg.output_dir is not None:
+                out = Path(cfg.output_dir).resolve()
+                if out in owners:
+                    raise ConfigError(f"{owners[out]} and {path} both write to {cfg.output_dir}")
+                owners[out] = path
+        memo = DescentMemo()  # this invocation's descents, dropped on return
+        memo.prefill(plan_descents(cfgs))
+        results = [run_experiment(c, memo) for c in cfgs]
         flags = [_report(r) for r in results]
         return 0 if all(flags) else 1
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, DimensionError, ConvergenceError, DivergenceError,
-            UnavailableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            UnavailableError, ArithmeticError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

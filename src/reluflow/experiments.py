@@ -24,9 +24,8 @@ marches the distinct empirical ones together in one `run_gd_batch` per
 dimension (`DescentMemo.prefill`), and hands that one memo to every run. So
 a run, and a twin run (the same descent checked against another band),
 reads a trajectory bit for bit the one it would compute itself.
-`run_experiment` called alone, and each ``--jobs`` worker task, gets a
-fresh memo, so nothing is shared across calls or processes, and the
-artifacts are the same either way.
+`run_experiment` called alone gets a fresh memo, so nothing is shared
+across calls, and the artifacts are the same either way.
 
 Floats are serialized at 17 significant digits, so identical configs (seed
 included) produce byte-identical CSVs. A check's ``margin`` is its headroom:

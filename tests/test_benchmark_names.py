@@ -9,6 +9,8 @@ import inspect
 import sys
 from pathlib import Path
 
+from reluflow import cli
+
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
@@ -91,16 +93,21 @@ def test_demos_import_existing_names():
     assert checked
 
 
+def _load_workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def test_dynamics_workload_runs_one_shallow_and_one_deep_problem(monkeypatch):
     """The names above can all exist while a result attribute the workload
     reads (``.states``, ``.magnitudes``, ``.passed``, ``.lowers``) is gone,
     which would show only as failed benchmark operations. So run the
     workload's own per-problem step on the first m = 0 and the first m = 2
     problem of its default bank."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
-    spec.loader.exec_module(workloads)
+    workloads = _load_workloads(monkeypatch)
     dynamics = workloads.Dynamics()
     bank = dynamics.setup(WORKLOADS.parents[1], None)
     for m in (0, 2):
@@ -108,3 +115,27 @@ def test_dynamics_workload_runs_one_shallow_and_one_deep_problem(monkeypatch):
         res = workloads.PassResult()
         assert dynamics._one(i, bank[i], res) == [], f"m={m}"
         assert res.outputs
+
+
+def test_grid_workload_passes_a_command_line_the_cli_parses(monkeypatch, tmp_path):
+    """The grid workload builds a `reluflow run` command line; a flag it
+    passes that the parser no longer takes would fail every grid operation.
+    So build that command line, with and without a seed, and parse it
+    without running the grid."""
+    workloads = _load_workloads(monkeypatch)
+    argvs = []
+
+    def record(argv):
+        argvs.append(argv)
+        return 0
+
+    monkeypatch.setattr(cli, "main", record)
+    grid = workloads.Grid()
+    for seed in (None, 7):
+        work, _ = grid.run_pass(grid.setup(WORKLOADS.parents[1], seed), tmp_path, lambda: None)
+        assert work() == (0, None)
+    assert len(argvs) == 2
+    for argv, seed in zip(argvs, (None, 7)):
+        args = cli._parser().parse_args(argv)
+        assert (args.command, args.seed) == ("run", seed)
+        assert len(args.config) == len(list(WORKLOADS.parents[1].glob("configs/*.cfg")))

@@ -299,8 +299,13 @@ def test_cli_config_error_exits_two(tmp_path, capsys):
         # A DomainError raised inside the run (the step size is past the
         # band's threshold) is a failed run, not a bad config.
         "experiment = stopping-time\neta = 1.0\n",
+        # Float faults no routine types: an overflow in a band's closed form
+        # and a division by zero in the convergence horizon.
+        "experiment = flow\nm = 3\nd = 5\ntarget_scale = 1e200\n",
+        "experiment = flow\nm = 3\nd = 5\ninit_scale = 1e-300\n",
     ],
-    ids=["gd-divergence", "deep-general-blowup", "stopping-time-eta-past-threshold"],
+    ids=["gd-divergence", "deep-general-blowup", "stopping-time-eta-past-threshold",
+         "flow-overflow", "flow-zero-division"],
 )
 def test_cli_numerical_failure_exits_three(tmp_path, capsys, text):
     p = write_cfg(tmp_path, text)
@@ -387,33 +392,43 @@ def _artifacts(base):
     return out
 
 
-def test_cli_jobs_match_a_serial_run(tmp_path, capsys):
-    """--jobs runs the configs in worker processes; the artifacts must be
-    those of a serial run, byte for byte."""
+def test_cli_config_error_inside_a_runner_exits_two(tmp_path, capsys):
+    # figure-magnitude refuses m = 2 inside its runner, after the run before
+    # it has written its artifacts.
     paths = [
         write_cfg(tmp_path, "experiment = flow\nm = 0\nd = 5\nt_end = 1.0\n", "flow.cfg"),
-        write_cfg(tmp_path, "experiment = gd\nm = 1\nd = 5\nn = 300\nsteps = 400\n", "gd.cfg"),
-    ]
-    argv = ["run"] + [a for p in paths for a in ("--config", str(p))]
-    codes = [main(argv + ["--jobs", jobs, "--out", str(tmp_path / f"j{jobs}")])
-             for jobs in ("1", "2")]
-    capsys.readouterr()
-    assert codes[0] == codes[1]
-    serial, parallel = _artifacts(tmp_path / "j1"), _artifacts(tmp_path / "j2")
-    assert len(serial) == 6  # trajectory.csv, bounds.csv and report.json per run
-    assert serial == parallel
-
-
-def test_cli_jobs_config_error_in_a_worker_exits_two(tmp_path, capsys):
-    # figure-magnitude refuses m = 2 inside its runner, so inside a worker.
-    paths = [
         write_cfg(tmp_path, "experiment = figure-magnitude\nm = 2\ninit_scale = small\n",
                   "bad.cfg"),
-        write_cfg(tmp_path, "experiment = flow\nm = 0\nd = 5\nt_end = 1.0\n", "flow.cfg"),
     ]
     argv = ["run"] + [a for p in paths for a in ("--config", str(p))]
-    assert main(argv + ["--jobs", "2", "--out", str(tmp_path / "o")]) == 2
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert "m <= 1 only" in capsys.readouterr().err
+    assert (tmp_path / "o" / "flow" / "report.json").exists()
+
+
+def test_cli_refuses_two_runs_into_one_directory(tmp_path, capsys):
+    flow = "experiment = flow\nm = 0\nd = 5\nt_end = 1.0\n"
+    same = write_cfg(tmp_path, flow, "f.cfg")
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    twins = [write_cfg(tmp_path / side, flow, "x.cfg") for side in ("a", "b")]
+    keyed = [write_cfg(tmp_path, flow + f"output_dir = {tmp_path / 'k'}\nseed = {k}\n",
+                       f"k{k}.cfg") for k in (1, 2)]
+    for paths, out in (([same, same], ["--out", str(tmp_path / "o")]),
+                       (twins, ["--out", str(tmp_path / "o")]),
+                       (keyed, [])):
+        argv = ["run"] + [a for p in paths for a in ("--config", str(p))]
+        assert main(argv + out) == 2
+        err = capsys.readouterr().err
+        assert f"{paths[0]} and {paths[1]} both write to" in err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "k").exists()
+
+
+def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    p = write_cfg(tmp_path, "experiment = flow\nm = 0\nd = 5\nt_end = 1.0\n")
+    (tmp_path / "file").write_text("")
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "file" / "x")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------
@@ -580,40 +595,13 @@ def test_plans_state_the_descents_the_runners_run(tmp_path, monkeypatch):
     assert planned == runner_keys and len(planned) == 19
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "2"])
 def test_cli_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     p = write_cfg(tmp_path, "experiment = flow\nm = 0\nd = 5\nt_end = 1.0\n")
     with pytest.raises(SystemExit) as exit_:
         main(["run", "--config", str(p), "--jobs", jobs])
     assert exit_.value.code == 2
     assert "--jobs" in capsys.readouterr().err
-
-
-def test_cli_jobs_pool_holds_at_most_one_worker_per_config(tmp_path, capsys, monkeypatch):
-    """--jobs 5000 over two configs asks for two workers. The pool is a
-    recorder that runs the tasks in this process, so no worker starts."""
-    sizes = []
-
-    class Pool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
-    paths = [write_cfg(tmp_path, f"experiment = flow\nm = 0\nd = 5\nt_end = 1.0\nseed = {k}\n",
-                       f"flow{k}.cfg") for k in (1, 2)]
-    argv = ["run"] + [a for p in paths for a in ("--config", str(p))]
-    assert main(argv + ["--jobs", "5000", "--out", str(tmp_path / "o")]) == 0
-    assert sizes == [2]
-    capsys.readouterr()
 
 
 class _Planned(Exception):
