@@ -23,8 +23,8 @@ such run after the first ends with ``(descent shared)``. Every artifact is
 byte-identical to the run's own.
 
 Exit status is 0 exactly when every check in every run passed, 1 when some
-check failed, 2 on a configuration or usage error (two configs naming one
-output directory, or an output that cannot be written, included), and 3
+check failed, 2 on a configuration or usage error (two configs writing to
+one output directory, or an output that cannot be written, included), and 3
 when a run failed: a trajectory diverged, an iteration did not converge, no
 evaluation path exists, a routine was handed an argument outside its
 domain, or a float operation overflowed or divided by zero.
@@ -43,6 +43,7 @@ from .experiments import (
     DescentMemo,
     ExperimentResult,
     RunConfig,
+    _run_dir,
     parse_config_file,
     plan_descents,
     run_experiment,
@@ -119,11 +120,10 @@ def main(argv: list[str] | None = None) -> int:
         cfgs = [_load(p, args, multi=len(args.config) > 1) for p in args.config]
         owners: dict[Path, str] = {}  # two runs into one directory overwrite each other
         for path, cfg in zip(args.config, cfgs):
-            if cfg.output_dir is not None:
-                out = Path(cfg.output_dir).resolve()
-                if out in owners:
-                    raise ConfigError(f"{owners[out]} and {path} both write to {cfg.output_dir}")
-                owners[out] = path
+            out = _run_dir(cfg).resolve()
+            if out in owners:
+                raise ConfigError(f"{owners[out]} and {path} both write to {_run_dir(cfg)}")
+            owners[out] = path
         memo = DescentMemo()  # this invocation's descents, dropped on return
         memo.prefill(plan_descents(cfgs))
         results = [run_experiment(c, memo) for c in cfgs]

@@ -55,7 +55,7 @@ w becomes the new reference. With n <= `_WATCH` there is no block and
 every step tests every row. The step runs on the stacks of all rows: the
 reach test, the block products, the sign tests, the Gram gradient and the
 update. A row that must take a new reference, test every row or re-form
-(G_S, b_S) does that alone, in its `_ActiveSet`.
+(G_S, b_S) does that alone, on its own row of `_GramStack`'s stacks.
 
 Rounding only shifts the argument. A d-term dot product is off by at most
 about d units of roundoff times |x_i| |w|, whatever the summation order.
@@ -179,96 +179,41 @@ def _gram_gradient(
 _WATCH = 64
 
 
-class _ActiveSet:
-    """One row of an empirical descent: the active set S of its data and
-    (G_S, b_S), re-formed only when S changes, with the reference, radius
-    and watch block that certify S between tests (see the module
-    docstring). `_GramStack` runs the fast step of all rows at once; a row
-    it cannot certify settles here alone."""
-
-    def __init__(self, batch: np.ndarray, labels: np.ndarray) -> None:
-        self.batch, self.labels = batch, labels
-        self.n, d = batch.shape
-        self.row_norms = np.linalg.norm(batch, axis=1)
-        self.pad = 4 * (d + 2) * np.finfo(float).eps
-        self.w_ref = np.zeros(d)
-        self.reach = -1.0  # squared certified radius; negative: none
-        self.block = np.zeros((_WATCH, d))
-        self.doubt = 0.0
-        self.side = np.ones(_WATCH)  # each block row's sign at the last test, as +-1.0
-        self.active = None
-        self.gram, self.moment = np.zeros((d, d)), np.zeros(d)
-
-    def settle(self, w: np.ndarray, near: bool, pre: np.ndarray) -> None:
-        """Bring S and (G_S, b_S) up to date at w, given whether w lies
-        within the reach of the reference and the block products at w."""
-        if near:
-            signs = pre > self.doubt
-            # Equal only if no block row lies within the pad of zero.
-            if (signs == (pre >= -self.doubt)).all():
-                self.active[self.watch] = signs
-                self.side = np.where(signs, 1.0, -1.0)
-                self._reform()
-                return
-            active = self.batch @ w > 0.0
-        else:
-            active = self._reference(w)
-        if self.active is None or (active != self.active).any():
-            self.active = active
-            self._reform()
-        if self.reach > 0.0:
-            self.side = np.where(active[self.watch], 1.0, -1.0)
-
-    def _reference(self, w: np.ndarray) -> np.ndarray:
-        """Make w the reference and return every row's sign at w. With
-        n <= _WATCH there is no block: every step tests every row."""
-        pre = self.batch @ w
-        self.reach = -1.0
-        if self.n > _WATCH:
-            margins = np.abs(pre) / self.row_norms
-            order = np.argpartition(margins, _WATCH)
-            norm = math.sqrt(w @ w)
-            radius = float(margins[order[_WATCH]]) * (1.0 - self.pad) - self.pad * norm
-            if radius > 0.0:
-                self.w_ref = w
-                self.reach = radius * radius
-                self.watch = order[:_WATCH]
-                self.block = self.batch[self.watch]
-                # Any w within the radius has |w| < norm + radius.
-                self.doubt = (self.pad * float(self.row_norms[self.watch].max())
-                              * (norm + radius))
-        return pre > 0.0
-
-    def _reform(self) -> None:
-        self.gram, self.moment = _active_gram(self.batch, self.labels, self.active)
-
-
-# What `_GramStack` mirrors of each row's `_ActiveSet`.
-_MIRRORED = ("w_ref", "reach", "block", "doubt", "side", "gram", "moment")
-
-
 class _GramStack:
     """The step of a batched empirical descent, on (B, d) weight and
-    (B, m_max) hidden stacks: the fast step of `_ActiveSet` for all rows at
-    once, on stacked copies of what it reads.
+    (B, m_max) hidden stacks, and the one owner of every row's state. Row
+    j of its stacks holds row j's (G_S, b_S), re-formed only when S
+    changes, and the reference, squared radius, watch block, doubt and
+    block signs that certify S between tests (see the module docstring);
+    per-row lists hold what only a settle reads: the data, labels, row
+    norms, active mask and watch indices.
 
     A row passes the stacked test when w lies within its reach and every
     block product lies beyond the pad on the side its row had at the last
     test: then no sign is in doubt and none changed, and (G_S, b_S) stand.
-    Any other row settles in its own `_ActiveSet`, and its copies are
-    reloaded. With finite products this is the test `_ActiveSet.settle`
-    makes, so each row takes the path it would take alone.
+    Any other row settles alone (`settle`), writing its row of the stacks
+    in place. With finite products this is the test `settle` makes, so
+    each row takes the path it would take alone.
     """
 
-    def __init__(self, sets: list[_ActiveSet], etas: list[float], ms: list[int]) -> None:
-        self.sets = sets
-        self.rows = np.arange(len(sets))  # the march's indices of the rows held
-        self.n = np.array([[s.n] for s in sets], dtype=float)
+    def __init__(self, batches: list[np.ndarray], labels: list[np.ndarray],
+                 etas: list[float], ms: list[int]) -> None:
+        rows, d = len(batches), batches[0].shape[1]
+        self.batch, self.labels = list(batches), list(labels)
+        self.row_norms = [np.linalg.norm(x, axis=1) for x in batches]
+        self.active, self.watch = [None] * rows, [None] * rows
+        self.pad = 4 * (d + 2) * np.finfo(float).eps
+        self.rows = np.arange(rows)  # the march's indices of the rows held
+        self.n = np.array([[x.shape[0]] for x in batches], dtype=float)
         self.eta = np.array([[eta] for eta in etas])
         self.padded = np.arange(max(ms)) >= np.array(ms)[:, None]
         self.has_padding = bool(self.padded.any())
-        for name in _MIRRORED:
-            setattr(self, name, np.array([getattr(s, name) for s in sets]))
+        self.w_ref = np.zeros((rows, d))
+        self.reach = np.full(rows, -1.0)  # squared certified radius; negative: none
+        self.block = np.zeros((rows, _WATCH, d))
+        self.doubt = np.zeros(rows)
+        self.side = np.ones((rows, _WATCH))  # each block row's sign at the last test, as +-1.0
+        self.gram, self.moment = np.zeros((rows, d, d)), np.zeros((rows, d))
 
     def __call__(self, W: np.ndarray, H: np.ndarray,
                  live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -281,10 +226,7 @@ class _GramStack:
         passed = near & (np.minimum.reduce(signed, axis=1) > self.doubt)
         if not np.logical_and.reduce(passed):
             for j in np.flatnonzero(~passed):
-                s = self.sets[j]
-                s.settle(W[j], bool(near[j]), signed[j] * s.side)
-                for name in _MIRRORED:
-                    getattr(self, name)[j] = getattr(s, name)
+                self.settle(j, W[j], bool(near[j]), signed[j] * self.side[j])
         # `_gram_gradient`, row by row, with p, n and w.resid as columns.
         p = H[:, :1] if H.shape[1] else np.ones((len(W), 1))
         for c in range(1, H.shape[1]):
@@ -296,9 +238,56 @@ class _GramStack:
             np.copyto(H, 1.0, where=self.padded)
         return W, H
 
+    def settle(self, j: int, w: np.ndarray, near: bool, pre: np.ndarray) -> None:
+        """Bring row j's S and (G_S, b_S) up to date at w, given whether w
+        lies within the reach of its reference and the block products at w."""
+        if near:
+            signs = pre > self.doubt[j]
+            # Equal only if no block row lies within the pad of zero.
+            if (signs == (pre >= -self.doubt[j])).all():
+                self.active[j][self.watch[j]] = signs
+                self.side[j] = np.where(signs, 1.0, -1.0)
+                self._reform(j)
+                return
+            active = self.batch[j] @ w > 0.0
+        else:
+            active = self._reference(j, w)
+        if self.active[j] is None or (active != self.active[j]).any():
+            self.active[j] = active
+            self._reform(j)
+        if self.reach[j] > 0.0:
+            self.side[j] = np.where(active[self.watch[j]], 1.0, -1.0)
+
+    def _reference(self, j: int, w: np.ndarray) -> np.ndarray:
+        """Make w row j's reference and return every data row's sign at w.
+        With n <= _WATCH there is no block: every step tests every row."""
+        batch, row_norms = self.batch[j], self.row_norms[j]
+        pre = batch @ w
+        self.reach[j] = -1.0
+        if len(batch) > _WATCH:
+            margins = np.abs(pre) / row_norms
+            order = np.argpartition(margins, _WATCH)
+            norm = math.sqrt(w @ w)
+            radius = float(margins[order[_WATCH]]) * (1.0 - self.pad) - self.pad * norm
+            if radius > 0.0:
+                self.w_ref[j] = w
+                self.reach[j] = radius * radius
+                self.watch[j] = order[:_WATCH]
+                self.block[j] = batch[self.watch[j]]
+                # Any w within the radius has |w| < norm + radius.
+                self.doubt[j] = (self.pad * float(row_norms[self.watch[j]].max())
+                                 * (norm + radius))
+        return pre > 0.0
+
+    def _reform(self, j: int) -> None:
+        self.gram[j], self.moment[j] = _active_gram(self.batch[j], self.labels[j],
+                                                    self.active[j])
+
     def _keep(self, keep: np.ndarray) -> None:
-        self.sets = [s for s, k in zip(self.sets, keep) if k]
-        for name in ("rows", "n", "eta", "padded") + _MIRRORED:
+        for name in ("batch", "labels", "row_norms", "active", "watch"):
+            setattr(self, name, [x for x, k in zip(getattr(self, name), keep) if k])
+        for name in ("rows", "n", "eta", "padded", "w_ref", "reach", "block", "doubt", "side",
+                     "gram", "moment"):
             setattr(self, name, getattr(self, name)[keep])
         self.has_padding = bool(self.padded.any())
 
@@ -353,12 +342,10 @@ def run_gd_batch(
         raise DimensionError("run_gd_batch needs problems of one dimension d")
     if not problems:
         return []
-    sets = []
-    for config, _, dc in problems:
-        rng = np.random.default_rng(np.random.SeedSequence(dc.seed))
-        batch = rng.standard_normal((dc.n_samples, config.d))
-        sets.append(_ActiveSet(batch, _teacher_labels(config, batch)))
-    step = _GramStack(sets, [dc.eta for _, _, dc in problems],
+    batches = [np.random.default_rng(np.random.SeedSequence(dc.seed)).standard_normal(
+        (dc.n_samples, config.d)) for config, _, dc in problems]
+    labels = [_teacher_labels(config, x) for (config, _, _), x in zip(problems, batches)]
+    step = _GramStack(batches, labels, [dc.eta for _, _, dc in problems],
                       [config.m for config, _, _ in problems])
     return _march([(config, init) for config, init, _ in problems],
                   [dc.steps for _, _, dc in problems],

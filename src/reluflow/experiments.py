@@ -190,6 +190,8 @@ class RunConfig:
             raise ConfigError(f"anchors must be non-negative steps, got {self.anchors}")
         if self.anchors is not None and len(set(self.anchors)) < len(self.anchors):
             raise ConfigError(f"anchors must be distinct steps, got {self.anchors}")
+        if self.eps is not None and self.eps >= math.pi:  # any angle beats pi - eps <= 0
+            raise ConfigError(f"eps must be < pi, got {self.eps}")
         if self.dt is not None and self.t_end is not None and self.dt > self.t_end:
             raise ConfigError(f"dt must be <= t_end, got dt={self.dt} > t_end={self.t_end}")
         if self.experiment == "lemma-verify" and self.d is not None and self.d < 2:
@@ -415,12 +417,22 @@ def _bracket(checks: list[dict], traj: Trajectory, r: float, R: float) -> bool:
     return r <= vmin and vmax <= R
 
 
-def _out_dir(cfg: RunConfig, *tags: str) -> Path:
+def _run_dir(cfg: RunConfig) -> Path:
+    """Its output_dir, else runs/<experiment>-<parts>-seed<N>: one <key><value>
+    part per other key the config sets, in field order, and `paper` at paper scale."""
     if cfg.output_dir is not None:
-        out = Path(cfg.output_dir)
-    else:
-        parts = [cfg.experiment, *tags, f"seed{cfg.seed}"]
-        out = Path("runs") / "-".join(parts)
+        return Path(cfg.output_dir)
+    parts = [cfg.experiment]
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name not in _EVERYWHERE and value is not None:
+            parts.append(f.name + (",".join(map(str, value)) if f.name == "anchors"
+                                   else str(value)))
+    return Path("runs") / "-".join(parts + ["paper"] * cfg.paper_scale + [f"seed{cfg.seed}"])
+
+
+def _out_dir(cfg: RunConfig) -> Path:
+    out = _run_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -510,7 +522,7 @@ def _run_flow(cfg: RunConfig) -> _Outcome:
     spec = FlowSpec(m=m, target_norm=tnorm, initial=polar0, t_end=t_end, dt=dt)
     traj = integrate_polar(spec, sample_every=_stride(round(t_end / dt)))
 
-    outdir = _out_dir(cfg, f"m{m}", label)
+    outdir = _out_dir(cfg)
     r, R, checks = _rr_recipe(label, polar0.magnitude, tnorm)
 
     mag_env = BoundEnvelope("magnitude", m, tnorm, polar0.angle, polar0.magnitude)
@@ -574,7 +586,7 @@ def _run_descent_figure(cfg: RunConfig, memo: DescentMemo, kinds: list[str]) -> 
     m, eta = config.m, dc.eta
     traj = memo.run(config, init, dc)
     tnorm = config.target_norm
-    outdir = _out_dir(cfg, f"m{m}", label)
+    outdir = _out_dir(cfg)
     r, R, checks = _rr_recipe(label, polar0.magnitude, tnorm)
     bracket_ok = _bracket(checks, traj, r, R)
 
@@ -633,12 +645,12 @@ def _run_reanchor(cfg: RunConfig, memo: DescentMemo) -> _Outcome:
     Each anchor writes its own bounds CSV; the bands must all hold and each
     later anchor must have strictly smaller worst margin over its window.
     """
-    config, init, polar0, label, dc = _reanchor_descent(cfg)
+    config, init, polar0, _, dc = _reanchor_descent(cfg)
     anchors, m, eta = _anchors(cfg), config.m, dc.eta
     traj = memo.run(config, init, dc)
     tnorm = config.target_norm
 
-    outdir = _out_dir(cfg, f"m{m}", label)
+    outdir = _out_dir(cfg)
     checks: list[dict] = []
     base_env = BoundEnvelope("magnitude", m, tnorm, polar0.angle, polar0.magnitude)
     worst_slacks: list[float] = []
@@ -705,7 +717,7 @@ def _run_lemma_verify(cfg: RunConfig) -> _Outcome:
     frac, bound = angle_concentration(100, 0.3, 100_000, kids[6])
     checks.append(_check("angle_concentration", frac >= bound, frac - bound))
 
-    return _out_dir(cfg, f"d{d}"), checks
+    return _out_dir(cfg), checks
 
 
 def _run_error_scaling(cfg: RunConfig) -> _Outcome:
@@ -746,7 +758,7 @@ def _stopping_descent(cfg: RunConfig) -> tuple[_Descent, BoundEnvelope, float, l
 
 
 def _run_stopping_time(cfg: RunConfig, memo: DescentMemo) -> _Outcome:
-    (config, init, _, label, dc), env, eps, checks = _stopping_descent(cfg)
+    (config, init, _, _, dc), env, eps, checks = _stopping_descent(cfg)
     traj = memo.run(config, init, dc)
     final_angle = traj.states[-1].angle
     _bracket(checks, traj, env.r, env.R)
@@ -755,7 +767,7 @@ def _run_stopping_time(cfg: RunConfig, memo: DescentMemo) -> _Outcome:
                final_angle - (math.pi - eps))
     )
 
-    outdir = _out_dir(cfg, f"m{config.m}", label)
+    outdir = _out_dir(cfg)
     rep = check_envelope(traj, env, 0.0, eta=dc.eta)
     _write_run(outdir, traj, {"angle": rep}, "step")
     return outdir, checks
@@ -889,7 +901,7 @@ def _run_deep_general(cfg: RunConfig) -> _Outcome:
         _check("loss_decreased", losses[-1] < losses[0], losses[0] - losses[-1]),
     ]
 
-    outdir = _out_dir(cfg, label)
+    outdir = _out_dir(cfg)
     rows = [(t, nr, math.nan, ls) for t, nr, ls in zip(times, norms, losses)]
     _write_trajectory(outdir, rows)
     (outdir / "plot.gp").write_text(_plot_script([], ["magnitude"], "step"))

@@ -243,9 +243,14 @@ def test_batched_descents_equal_lone_runs_bit_for_bit():
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.losses, want.losses)
         assert got.states == want.states
-        assert len(got.weight_states) == len(want.weight_states)
-        for a, b in zip(got.weight_states, want.weight_states):
+        # A lone run_gd is a batch of one, so the fold of gd_step, which
+        # tests every sign and forms (G_S, b_S) afresh each step, is the
+        # oracle that shares no code with the batch's bookkeeping.
+        fold, _ = _fold_of_gd_step(cfg, init, dc)
+        assert len(got.weight_states) == len(want.weight_states) == len(fold)
+        for a, b, c in zip(got.weight_states, want.weight_states, fold):
             assert np.array_equal(a.w, b.w) and a.hidden == b.hidden
+            assert np.array_equal(a.w, c.w) and a.hidden == c.hidden
     assert "blew up" in str(outs[1]) and "hidden scalar" in str(outs[-1])
     assert len(outs[4].times) == 1  # steps = 0: the start alone
 

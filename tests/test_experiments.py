@@ -326,6 +326,8 @@ def test_cli_numerical_failure_exits_three(tmp_path, capsys, text):
         ("experiment = reanchor\nm = 1\nanchors = 0,-10\n", "anchors must be non-negative"),
         ("experiment = flow\nm = 1\ndt = 0\n", "dt must be positive"),
         ("experiment = stopping-time\neps = -0.1\n", "eps must be positive"),
+        # pi - eps <= 0: the final angle would beat the target vacuously.
+        ("experiment = stopping-time\neps = 3.5\n", "eps must be < pi"),
         ("experiment = flow\nm = 1\nseed = -1\n", "seed must be >= 0"),
         ("experiment = reanchor\nm = 1\nanchors = 0,100,100\n", "anchors must be distinct"),
         ("experiment = lemma-verify\nm = 7\nanchors = 5\ndt = 0.5\n",
@@ -335,7 +337,7 @@ def test_cli_numerical_failure_exits_three(tmp_path, capsys, text):
     ],
     ids=["flow-t_end-inf", "figure-angle-eta-nan", "flow-d-zero", "figure-angle-init_scale-negative",
          "lemma-verify-n-one", "gd-steps-negative", "reanchor-anchor-negative", "flow-dt-zero",
-         "stopping-time-eps-negative", "flow-seed-negative", "reanchor-anchor-repeated",
+         "stopping-time-eps-negative", "stopping-time-eps-past-pi", "flow-seed-negative", "reanchor-anchor-repeated",
          "lemma-verify-unread-keys", "flow-unread-key", "flow-dt-above-t_end"],
 )
 def test_cli_non_finite_value_exits_two(tmp_path, capsys, text, needle):
@@ -406,7 +408,8 @@ def test_cli_config_error_inside_a_runner_exits_two(tmp_path, capsys):
     assert (tmp_path / "o" / "flow" / "report.json").exists()
 
 
-def test_cli_refuses_two_runs_into_one_directory(tmp_path, capsys):
+def test_cli_refuses_two_runs_into_one_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # default directories land under tmp_path/runs
     flow = "experiment = flow\nm = 0\nd = 5\nt_end = 1.0\n"
     same = write_cfg(tmp_path, flow, "f.cfg")
     (tmp_path / "a").mkdir()
@@ -416,12 +419,19 @@ def test_cli_refuses_two_runs_into_one_directory(tmp_path, capsys):
                        f"k{k}.cfg") for k in (1, 2)]
     for paths, out in (([same, same], ["--out", str(tmp_path / "o")]),
                        (twins, ["--out", str(tmp_path / "o")]),
-                       (keyed, [])):
+                       (keyed, []),
+                       (twins, [])):  # identical configs, one default directory
         argv = ["run"] + [a for p in paths for a in ("--config", str(p))]
         assert main(argv + out) == 2
         err = capsys.readouterr().err
         assert f"{paths[0]} and {paths[1]} both write to" in err
-    assert not (tmp_path / "o").exists() and not (tmp_path / "k").exists()
+    assert not any((tmp_path / name).exists() for name in ("o", "k", "runs"))
+    # Configs that differ in any key get default directories of their own.
+    other = write_cfg(tmp_path, flow.replace("d = 5", "d = 6"), "f6.cfg")
+    assert main(["run", "--config", str(same), "--config", str(other)]) == 0
+    dirs = sorted(p.name for p in (tmp_path / "runs").iterdir())
+    assert dirs == ["flow-m0-d5-t_end1.0-seed0", "flow-m0-d6-t_end1.0-seed0"]
+    assert all((tmp_path / "runs" / name / "report.json").exists() for name in dirs)
 
 
 def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys):
