@@ -199,7 +199,7 @@ class _GramStack:
     def __init__(self, batches: list[np.ndarray], labels: list[np.ndarray],
                  etas: list[float], ms: list[int]) -> None:
         rows, d = len(batches), batches[0].shape[1]
-        self.batch, self.labels = list(batches), list(labels)
+        self.batch, self.labels = batches, labels
         self.row_norms = [np.linalg.norm(x, axis=1) for x in batches]
         self.active, self.watch = [None] * rows, [None] * rows
         self.pad = 4 * (d + 2) * np.finfo(float).eps
