@@ -33,7 +33,9 @@ positive means it passed with that much room, negative says how far past the
 boundary it failed. Checks suffixed ``_advisory`` never fail a run; they
 record diagnostics such as a magnitude excursion outside the (r, R) bracket
 an angle band was drawn with — when that happens the angle band's premise is
-gone, so its own check is downgraded to advisory for that run too.
+gone, so its own check is downgraded to advisory for that run too. The
+banded runs (flow, gd, figure-*) share one body, `_check_bands`, and every
+band check, each re-anchored one included, follows `_band_check`'s rule.
 
 Scales: defaults are desk scale (d=20, n=2000, T=20000 against the full-scale
 d=100, n=10000, T=100000); ``paper_scale``, set by the command line's
@@ -128,6 +130,9 @@ _DEEP_DIMS = {"paper": {"d": 100, "n": 10_000, "width": 50},
 
 _SCALE_RATIO = {"small": 0.1, "middle": 1.0, "large": 2.0}
 _SAMPLES = 400  # about this many samples are recorded per run
+# Most RK4 steps a flow run may take: 20-30 s at the 2-3 us a polar step
+# costs on a 2-vCPU Xeon host.
+_MAX_FLOW_STEPS = 10**7
 
 _INT_KEYS = {"m", "d", "n", "steps", "seed"}
 # Smallest value of each count a run can use; every float key must be > 0.
@@ -194,8 +199,8 @@ class RunConfig:
             raise ConfigError(f"eps must be < pi, got {self.eps}")
         if self.dt is not None and self.t_end is not None and self.dt > self.t_end:
             raise ConfigError(f"dt must be <= t_end, got dt={self.dt} > t_end={self.t_end}")
-        if self.experiment == "lemma-verify" and self.d is not None and self.d < 2:
-            raise ConfigError(f"d must be >= 2 for lemma-verify (two unit vectors in "
+        if self.experiment != "deep-general" and self.d is not None and self.d < 2:
+            raise ConfigError(f"d must be >= 2 for {self.experiment} (two vectors in "
                               f"R^1 are parallel or antiparallel), got {self.d}")
 
 
@@ -446,10 +451,6 @@ def _write_run(
     (outdir / "plot.gp").write_text(_plot_script(["bounds.csv"], list(per_kind), xlabel))
 
 
-def _envelope_range_slack(lowers: np.ndarray, uppers: np.ndarray) -> float:
-    return 0.02 * float(np.max(uppers) - np.min(lowers))
-
-
 def _descent_key(config: NeuronConfig, init: WeightState, dc: DescentConfig) -> tuple:
     """Every input of a `run_gd` call: equal keys give bit-identical runs."""
     return (dc, config.m, config.target_w.tobytes(), init.w.tobytes(), init.hidden)
@@ -508,6 +509,43 @@ class DescentMemo:
 _Outcome = tuple[Path, list[dict]]
 
 
+def _band_check(
+    traj: Trajectory, env: BoundEnvelope, eta: float | None, name: str, enforce: bool
+) -> tuple[dict, EnvelopeReport]:
+    """One band's check: on a flow (eta None) the band holds within 1e-6; on a
+    descent, within 2 % of the band's range (max upper - min lower)."""
+    rep = check_envelope(traj, env, 0.0, eta=eta)
+    slack = 1e-6 if eta is None else 0.02 * float(np.max(rep.uppers) - np.min(rep.lowers))
+    margin = slack - rep.worst_margin
+    check = _check(name, rep.worst_margin <= slack, margin) if enforce else _advisory(name, margin)
+    return check, rep
+
+
+def _check_bands(
+    cfg: RunConfig, traj: Trajectory, config: NeuronConfig, polar0: PolarState,
+    label: str, kinds: list[str], eta: float | None,
+) -> tuple[Path, list[dict], BoundEnvelope]:
+    """Every banded run's body: the [r, R] recipe and bracket, one check per
+    kind and the run's artifacts. The magnitude band is always enforced; the
+    angle band, whose rates assume [r, R], only while the magnitude stayed in
+    it. Returns the output directory, the checks and the angle envelope."""
+    outdir = _out_dir(cfg)
+    m, tnorm = config.m, config.target_norm
+    r, R, checks = _rr_recipe(label, polar0.magnitude, tnorm)
+    bracket_ok = _bracket(checks, traj, r, R)
+    envs = {
+        "magnitude": BoundEnvelope("magnitude", m, tnorm, polar0.angle, polar0.magnitude),
+        "angle": BoundEnvelope("angle", m, tnorm, polar0.angle, polar0.magnitude, r=r, R=R),
+    }
+    reports: dict[str, EnvelopeReport] = {}
+    for kind in kinds:
+        check, reports[kind] = _band_check(
+            traj, envs[kind], eta, f"{kind}_envelope", kind == "magnitude" or bracket_ok)
+        checks.append(check)
+    _write_run(outdir, traj, reports, "time" if eta is None else "step")
+    return outdir, checks, envs["angle"]
+
+
 def _run_flow(cfg: RunConfig) -> _Outcome:
     m = int(cfg.m)
     config, _, polar0, label = _draw_problem(cfg, m, _FIG_KSTAR.get(m, 1.0), "small")
@@ -519,42 +557,14 @@ def _run_flow(cfg: RunConfig) -> _Outcome:
     # RK4 needs h |f'| below about 2.785; stiff deep starts get a smaller step.
     rate = _frozen_rate(m, tnorm ** (m + 1), polar0.magnitude)
     dt = cfg.dt if cfg.dt is not None else min(1e-3, 1.0 / rate)
+    if dt > t_end:
+        raise ConfigError(f"dt must be <= t_end, got dt={dt} > t_end={t_end}")
+    if t_end > _MAX_FLOW_STEPS * dt:
+        raise ConfigError(f"flow needs {t_end / dt:.3g} RK4 steps of dt={dt:.3g} to reach "
+                          f"t_end={t_end:.6g}, more than {_MAX_FLOW_STEPS}; set a shorter t_end")
     spec = FlowSpec(m=m, target_norm=tnorm, initial=polar0, t_end=t_end, dt=dt)
     traj = integrate_polar(spec, sample_every=_stride(round(t_end / dt)))
-
-    outdir = _out_dir(cfg)
-    r, R, checks = _rr_recipe(label, polar0.magnitude, tnorm)
-
-    mag_env = BoundEnvelope("magnitude", m, tnorm, polar0.angle, polar0.magnitude)
-    ang_env = BoundEnvelope("angle", m, tnorm, polar0.angle, polar0.magnitude, r=r, R=R)
-    slack = 1e-6
-    mag_rep = check_envelope(traj, mag_env, slack)
-    ang_rep = check_envelope(traj, ang_env, slack)
-
-    bracket_ok = _bracket(checks, traj, r, R)
-    checks.append(_check("magnitude_envelope", mag_rep.passed, slack - mag_rep.worst_margin))
-    if bracket_ok:
-        checks.append(_check("angle_envelope", ang_rep.passed, slack - ang_rep.worst_margin))
-    else:
-        checks.append(_advisory("angle_envelope", slack - ang_rep.worst_margin))
-
-    _write_run(outdir, traj, {"magnitude": mag_rep, "angle": ang_rep}, "time")
-    return outdir, checks
-
-
-def _band_checks(
-    traj: Trajectory,
-    env: BoundEnvelope,
-    eta: float,
-    name: str,
-    enforce: bool,
-) -> tuple[dict, EnvelopeReport]:
-    rep = check_envelope(traj, env, 0.0, eta=eta)
-    slack = _envelope_range_slack(rep.lowers, rep.uppers)
-    ok = rep.worst_margin <= slack
-    margin = slack - rep.worst_margin
-    check = _check(name, ok, margin) if enforce else _advisory(name, margin)
-    return check, rep
+    return _check_bands(cfg, traj, config, polar0, label, ["magnitude", "angle"], None)[:2]
 
 
 class _Descent(NamedTuple):
@@ -583,29 +593,10 @@ def _figure_descent(cfg: RunConfig, kinds: list[str]) -> _Descent:
 
 def _run_descent_figure(cfg: RunConfig, memo: DescentMemo, kinds: list[str]) -> _Outcome:
     config, init, polar0, label, dc = _figure_descent(cfg, kinds)
-    m, eta = config.m, dc.eta
     traj = memo.run(config, init, dc)
-    tnorm = config.target_norm
-    outdir = _out_dir(cfg)
-    r, R, checks = _rr_recipe(label, polar0.magnitude, tnorm)
-    bracket_ok = _bracket(checks, traj, r, R)
-
-    ang_env = BoundEnvelope("angle", m, tnorm, polar0.angle, polar0.magnitude, r=r, R=R)
-    bounds_data: dict[str, EnvelopeReport] = {}
-    for kind in kinds:
-        if kind == "magnitude":
-            env = BoundEnvelope("magnitude", m, tnorm, polar0.angle, polar0.magnitude)
-            enforce = True
-        else:
-            env, enforce = ang_env, bracket_ok
-        check, data = _band_checks(traj, env, eta, f"{kind}_envelope", enforce)
-        checks.append(check)
-        bounds_data[kind] = data
-
+    outdir, checks, ang_env = _check_bands(cfg, traj, config, polar0, label, kinds, dc.eta)
     ceiling = _ETA_CEILING * eta_threshold(ang_env)
-    checks.append(_check("eta_regime", eta <= ceiling, ceiling - eta))
-
-    _write_run(outdir, traj, bounds_data, "step")
+    checks.append(_check("eta_regime", dc.eta <= ceiling, ceiling - dc.eta))
     return outdir, checks
 
 
@@ -659,7 +650,7 @@ def _run_reanchor(cfg: RunConfig, memo: DescentMemo) -> _Outcome:
     for anchor in anchors:
         idx = times_list.index(float(anchor))
         env = reanchored(base_env, traj, idx) if anchor else base_env
-        check, rep = _band_checks(traj, env, eta, f"magnitude_envelope_anchor_{anchor}", True)
+        check, rep = _band_check(traj, env, eta, f"magnitude_envelope_anchor_{anchor}", True)
         checks.append(check)
         # How far the band ever sits from the trajectory: the later the
         # anchor, the tighter this must get ("latest bounds are tightest").

@@ -104,6 +104,8 @@ def test_lemma_verify_refuses_one_dimension():
     with pytest.raises(ConfigError, match="d must be >= 2"):
         RunConfig(experiment="lemma-verify", d=1)
     RunConfig(experiment="lemma-verify", d=2)
+    # A network has no teacher angle to degenerate: one input is a legal width.
+    RunConfig(experiment="deep-general", init_scale="small", d=1)
 
 
 def test_registry_lists_every_kind():
@@ -255,6 +257,39 @@ def test_rerun_is_byte_identical(flow_run, tmp_path):
         assert (res.output_dir / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "experiment,keys",
+    [("flow", {"t_end": 3.0}), ("gd", {"n": 200, "steps": 400})],
+    ids=["flow", "gd"],
+)
+def test_band_checks_follow_one_rule(tmp_path, experiment, keys):
+    # At seed 0 the magnitude leaves the recipe's [r, R], so the angle band,
+    # whose rates assume it, is only advisory; at seed 1 it stays inside.
+    # Every margin is slack - worst excursion, re-read from the artifacts:
+    # 1e-6 on the flow, 2 % of the band's range on descent.
+    for seed, angle in ((0, "angle_envelope_advisory"), (1, "angle_envelope")):
+        out = tmp_path / str(seed)
+        res = run_experiment(RunConfig(experiment=experiment, m=0, d=5, init_scale="small",
+                                       seed=seed, output_dir=str(out), **keys))
+        checks = {c["name"]: c for c in res.report["checks"]}
+        names = ["magnitude_bracket_advisory", "magnitude_envelope", angle]
+        assert list(checks) == names + ["eta_regime"] * (experiment == "gd")
+        assert (checks["magnitude_bracket_advisory"]["margin"] < 0) == (seed == 0)
+        rows = [[float(x) for x in line.split(",")]
+                for line in (out / "trajectory.csv").read_text().splitlines()[1:]]
+        bands = [line.split(",") for line in (out / "bounds.csv").read_text().splitlines()[1:]]
+        for name, col in (("magnitude_envelope", 1), (angle, 2)):
+            kind = name.split("_")[0]
+            band = [(float(lo), float(up)) for _, k, lo, up in bands if k == kind]
+            assert len(band) == len(rows)
+            worst = max(max(lo - row[col], row[col] - up) for row, (lo, up) in zip(rows, band))
+            slack = 1e-6 if experiment == "flow" else 0.02 * (
+                max(up for _, up in band) - min(lo for lo, _ in band))
+            assert checks[name]["margin"] == slack - worst
+            enforced = not name.endswith("_advisory")
+            assert checks[name]["pass"] == (not enforced or worst <= slack)
+
+
 def test_reanchor_writes_per_anchor_bounds(tmp_path):
     cfg = RunConfig(experiment="reanchor", m=1, d=8, n=400, eta=1e-4,
                     steps=400, seed=1, output_dir=str(tmp_path))
@@ -334,11 +369,19 @@ def test_cli_numerical_failure_exits_three(tmp_path, capsys, text):
          "'lemma-verify' does not read keys: ['m', 'dt', 'anchors']"),
         ("experiment = flow\nm = 1\nsteps = 100\n", "'flow' does not read keys: ['steps']"),
         ("experiment = flow\nm = 1\nt_end = 0.0001\ndt = 0.001\n", "dt must be <= t_end"),
+        # dt above the t_end the run resolves when the config sets none
+        ("experiment = flow\nm = 0\nd = 5\ndt = 100\n", "dt must be <= t_end"),
+        # A stiff deep start picks dt near 1e-10: 7.5e9 RK4 steps to t_end.
+        ("experiment = flow\nm = 5\n", "set a shorter t_end"),
+        # In R^1 the start is parallel or antiparallel to the teacher.
+        ("experiment = flow\nm = 1\nd = 1\n", "d must be >= 2"),
+        ("experiment = stopping-time\nd = 1\n", "d must be >= 2"),
     ],
     ids=["flow-t_end-inf", "figure-angle-eta-nan", "flow-d-zero", "figure-angle-init_scale-negative",
          "lemma-verify-n-one", "gd-steps-negative", "reanchor-anchor-negative", "flow-dt-zero",
          "stopping-time-eps-negative", "stopping-time-eps-past-pi", "flow-seed-negative", "reanchor-anchor-repeated",
-         "lemma-verify-unread-keys", "flow-unread-key", "flow-dt-above-t_end"],
+         "lemma-verify-unread-keys", "flow-unread-key", "flow-dt-above-t_end",
+         "flow-dt-above-resolved-t_end", "flow-step-cap", "flow-d-one", "stopping-time-d-one"],
 )
 def test_cli_non_finite_value_exits_two(tmp_path, capsys, text, needle):
     # Out-of-range values are config errors too: they are refused before the
