@@ -20,7 +20,7 @@ before the runs start; each distinct descent is computed once. Runs whose
 descents have the same inputs (``angle-m0-small`` and
 ``magnitude-m0-small``, say) share one trajectory, and the line of every
 such run after the first ends with ``(descent shared)``. Every artifact is
-byte-identical to the run's own.
+byte-identical to the run's own. Each run's line prints as that run ends.
 
 Exit status is 0 exactly when every check in every run passed, 1 when some
 check failed, 2 on a configuration or usage error (two configs writing to
@@ -126,8 +126,9 @@ def main(argv: list[str] | None = None) -> int:
             owners[out] = path
         memo = DescentMemo()  # this invocation's descents, dropped on return
         memo.prefill(plan_descents(cfgs))
-        results = [run_experiment(c, memo) for c in cfgs]
-        flags = [_report(r) for r in results]
+        # Each run's line prints as the run ends, so a later run that raises
+        # leaves the earlier ones reported.
+        flags = [_report(run_experiment(c, memo)) for c in cfgs]
         return 0 if all(flags) else 1
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

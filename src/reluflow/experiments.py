@@ -11,14 +11,18 @@ kinds of artifacts in its output directory:
   runtime_seconds}
 * ``plot.gp``          — a self-contained gnuplot 5 script rendering the CSVs
 
-`run_experiment` is the frame of every run: it starts the clock, calls the
-registered runner, which writes the other artifacts and returns its checks,
-and owns report.json.
+`run_experiment` is the frame of every run, and the one code that reads a
+descent or touches the disk. It starts the clock, reads the run's descent
+if its kind has one, calls the registered runner, which returns its checks
+and the text of each artifact by file name, and writes those artifacts and
+report.json into the run's directory. Runners are pure: they run no
+descent and write no file.
 
 Descents go through a `DescentMemo`, keyed on the exact inputs of their
 `run_gd` call. Runs handed the same memo compute each distinct descent once.
 Each descending experiment states its one descent in a plan
-(`Experiment.descent`) that its runner follows too. The command line plans
+(`Experiment.descent`); the frame runs the plan's descent and hands the
+runner the plan and its trajectory. The command line plans
 the descents of all the configs of a serial invocation (`plan_descents`),
 marches the distinct empirical ones together in one `run_gd_batch` per
 dimension (`DescentMemo.prefill`), and hands that one memo to every run. So
@@ -133,6 +137,9 @@ _SAMPLES = 400  # about this many samples are recorded per run
 # Most RK4 steps a flow run may take: 20-30 s at the 2-3 us a polar step
 # costs on a 2-vCPU Xeon host.
 _MAX_FLOW_STEPS = 10**7
+# Most population-gradient steps a stopping-time descent may take: 20-25 s
+# at the 20-25 us such a step costs on the same host.
+_MAX_POPULATION_STEPS = 10**6
 
 _INT_KEYS = {"m", "d", "n", "steps", "seed"}
 # Smallest value of each count a run can use; every float key must be > 0.
@@ -232,6 +239,8 @@ def parse_config_file(path: str | Path) -> RunConfig:
             elif key in _FLOAT_KEYS:
                 values[key] = float(rhs)
             elif key in _STR_KEYS:
+                if not rhs:  # an empty output_dir would be the working directory
+                    raise ConfigError(f"{path}:{lineno}: {key!r} needs a value")
                 values[key] = rhs
             elif key == "init_scale":
                 values[key] = rhs if rhs in _SCALE_RATIO else float(rhs)
@@ -258,29 +267,21 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_trajectory(outdir: Path, rows: list[tuple[float, float, float, float]]) -> None:
-    lines = ["step_or_time,magnitude,angle,loss"]
-    lines += [",".join(_fmt(c) for c in row) for row in rows]
-    (outdir / "trajectory.csv").write_text("\n".join(lines) + "\n")
+def _csv(header: str, rows: Sequence[tuple]) -> str:
+    """A CSV's text: the header, then one line per row, numbers at 17 digits."""
+    lines = [header] + [",".join(c if isinstance(c, str) else _fmt(c) for c in row)
+                        for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _trajectory_rows(traj: Trajectory) -> list[tuple[float, float, float, float]]:
-    return [
-        (float(t), s.magnitude, s.angle, float(l))
-        for t, s, l in zip(traj.times, traj.states, traj.losses)
-    ]
+def _trajectory_csv(rows: Sequence[tuple]) -> str:
+    return _csv("step_or_time,magnitude,angle,loss", rows)
 
 
-def _write_bounds(
-    outdir: Path, per_kind: dict[str, EnvelopeReport], filename: str = "bounds.csv"
-) -> None:
-    lines = ["step_or_time,kind,lower,upper"]
-    for kind, rep in per_kind.items():
-        lines += [
-            f"{_fmt(float(t))},{kind},{_fmt(float(lo))},{_fmt(float(up))}"
-            for t, lo, up in zip(rep.times, rep.lowers, rep.uppers)
-        ]
-    (outdir / filename).write_text("\n".join(lines) + "\n")
+def _bounds_csv(per_kind: dict[str, EnvelopeReport]) -> str:
+    return _csv("step_or_time,kind,lower,upper", [
+        (t, kind, lo, up) for kind, rep in per_kind.items()
+        for t, lo, up in zip(rep.times, rep.lowers, rep.uppers)])
 
 
 def _plot_script(bounds_files: list[str], kinds: list[str], xlabel: str) -> str:
@@ -338,12 +339,17 @@ class ExperimentResult:
 
 
 def _finalize(
-    outdir: Path, experiment: str, seed: int, checks: list[dict], t0: float,
+    cfg: RunConfig, checks: list[dict], artifacts: dict[str, str], t0: float,
     descent_shared: bool,
 ) -> ExperimentResult:
+    """Write the run's artifacts, then report.json, into its directory."""
+    outdir = _run_dir(cfg)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in artifacts.items():
+        (outdir / name).write_text(text)
     report = {
-        "experiment": experiment,
-        "seed": int(seed),
+        "experiment": cfg.experiment,
+        "seed": int(cfg.seed),
         "checks": checks,
         "runtime_seconds": time.monotonic() - t0,
     }
@@ -436,19 +442,16 @@ def _run_dir(cfg: RunConfig) -> Path:
     return Path("runs") / "-".join(parts + ["paper"] * cfg.paper_scale + [f"seed{cfg.seed}"])
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = _run_dir(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_run(
-    outdir: Path, traj: Trajectory, per_kind: dict[str, EnvelopeReport], xlabel: str
-) -> None:
-    """trajectory.csv, bounds.csv and a plot.gp over them, one panel per kind."""
-    _write_trajectory(outdir, _trajectory_rows(traj))
-    _write_bounds(outdir, per_kind)
-    (outdir / "plot.gp").write_text(_plot_script(["bounds.csv"], list(per_kind), xlabel))
+def _run_files(
+    traj: Trajectory, bounds: dict[str, dict[str, EnvelopeReport]], xlabel: str
+) -> dict[str, str]:
+    """trajectory.csv, each bounds file (by name, its reports by kind) and a
+    plot.gp over them, one panel per kind."""
+    kinds = list(next(iter(bounds.values())))
+    rows = [(t, s.magnitude, s.angle, l) for t, s, l in zip(traj.times, traj.states, traj.losses)]
+    return {"trajectory.csv": _trajectory_csv(rows),
+            **{name: _bounds_csv(per_kind) for name, per_kind in bounds.items()},
+            "plot.gp": _plot_script(list(bounds), kinds, xlabel)}
 
 
 def _descent_key(config: NeuronConfig, init: WeightState, dc: DescentConfig) -> tuple:
@@ -503,10 +506,10 @@ class DescentMemo:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each writes its artifacts and returns (outdir, checks);
-# run_experiment times it and writes report.json
+# experiment runners: each returns its checks and its artifacts' texts by
+# file name; run_experiment times it and writes them and report.json
 
-_Outcome = tuple[Path, list[dict]]
+_Outcome = tuple[list[dict], dict[str, str]]
 
 
 def _band_check(
@@ -522,14 +525,13 @@ def _band_check(
 
 
 def _check_bands(
-    cfg: RunConfig, traj: Trajectory, config: NeuronConfig, polar0: PolarState,
+    traj: Trajectory, config: NeuronConfig, polar0: PolarState,
     label: str, kinds: list[str], eta: float | None,
-) -> tuple[Path, list[dict], BoundEnvelope]:
+) -> tuple[list[dict], dict[str, str], BoundEnvelope]:
     """Every banded run's body: the [r, R] recipe and bracket, one check per
     kind and the run's artifacts. The magnitude band is always enforced; the
     angle band, whose rates assume [r, R], only while the magnitude stayed in
-    it. Returns the output directory, the checks and the angle envelope."""
-    outdir = _out_dir(cfg)
+    it. Returns the checks, the artifacts and the angle envelope."""
     m, tnorm = config.m, config.target_norm
     r, R, checks = _rr_recipe(label, polar0.magnitude, tnorm)
     bracket_ok = _bracket(checks, traj, r, R)
@@ -542,8 +544,8 @@ def _check_bands(
         check, reports[kind] = _band_check(
             traj, envs[kind], eta, f"{kind}_envelope", kind == "magnitude" or bracket_ok)
         checks.append(check)
-    _write_run(outdir, traj, reports, "time" if eta is None else "step")
-    return outdir, checks, envs["angle"]
+    xlabel = "time" if eta is None else "step"
+    return checks, _run_files(traj, {"bounds.csv": reports}, xlabel), envs["angle"]
 
 
 def _run_flow(cfg: RunConfig) -> _Outcome:
@@ -564,21 +566,28 @@ def _run_flow(cfg: RunConfig) -> _Outcome:
                           f"t_end={t_end:.6g}, more than {_MAX_FLOW_STEPS}; set a shorter t_end")
     spec = FlowSpec(m=m, target_norm=tnorm, initial=polar0, t_end=t_end, dt=dt)
     traj = integrate_polar(spec, sample_every=_stride(round(t_end / dt)))
-    return _check_bands(cfg, traj, config, polar0, label, ["magnitude", "angle"], None)[:2]
+    return _check_bands(traj, config, polar0, label, ["magnitude", "angle"], None)[:2]
 
 
 class _Descent(NamedTuple):
-    """A descending run's problem and the inputs of its one `run_gd` call."""
+    """A descending run's problem, the inputs of its one `run_gd` call, and
+    what else its plan settles for the runner: a figure run's band kinds, a
+    re-anchored run's anchors, or a stopping-time run's angle band, eps and
+    bracket-recipe checks."""
 
     config: NeuronConfig
     init: WeightState
     polar0: PolarState
     label: str
     dc: DescentConfig
+    extra: object
 
 
-def _figure_descent(cfg: RunConfig, kinds: list[str]) -> _Descent:
+def _figure_descent(cfg: RunConfig) -> _Descent:
     m = int(cfg.m)
+    # gd checks every band its depth has; a figure run, the one it names.
+    kinds = {"figure-angle": ["angle"], "figure-magnitude": ["magnitude"]}.get(
+        cfg.experiment, ["magnitude", "angle"] if m <= 1 else ["angle"])
     if "magnitude" in kinds and m >= 2:
         raise ConfigError("descent-side magnitude bands exist for m <= 1 only")
     _, n, steps = _resolve_scales(cfg)
@@ -588,29 +597,23 @@ def _figure_descent(cfg: RunConfig, kinds: list[str]) -> _Descent:
         raise ConfigError(f"no default step size for m={m}; set eta explicitly")
     dc = DescentConfig(eta=eta, steps=steps, mode="empirical", n_samples=n,
                        seed=cfg.seed, record_every=_stride(steps))
-    return _Descent(config, init, polar0, label, dc)
+    return _Descent(config, init, polar0, label, dc, kinds)
 
 
-def _run_descent_figure(cfg: RunConfig, memo: DescentMemo, kinds: list[str]) -> _Outcome:
-    config, init, polar0, label, dc = _figure_descent(cfg, kinds)
-    traj = memo.run(config, init, dc)
-    outdir, checks, ang_env = _check_bands(cfg, traj, config, polar0, label, kinds, dc.eta)
+def _run_descent_figure(plan: _Descent, traj: Trajectory) -> _Outcome:
+    config, _, polar0, label, dc, kinds = plan
+    checks, artifacts, ang_env = _check_bands(traj, config, polar0, label, kinds, dc.eta)
     ceiling = _ETA_CEILING * eta_threshold(ang_env)
     checks.append(_check("eta_regime", dc.eta <= ceiling, ceiling - dc.eta))
-    return outdir, checks
-
-
-def _anchors(cfg: RunConfig) -> tuple[int, ...]:
-    m = int(cfg.m)
-    if m not in _REANCHOR:
-        raise ConfigError("re-anchored magnitude bands exist for m in {0, 1} only")
-    return tuple(sorted(int(a) for a in cfg.anchors or _REANCHOR[m]["anchors"]))
+    return checks, artifacts
 
 
 def _reanchor_descent(cfg: RunConfig) -> _Descent:
-    anchors = _anchors(cfg)
     m = int(cfg.m)
+    if m not in _REANCHOR:
+        raise ConfigError("re-anchored magnitude bands exist for m in {0, 1} only")
     defaults = _REANCHOR[m]
+    anchors = tuple(sorted(int(a) for a in cfg.anchors or defaults["anchors"]))
     _, n, _ = _resolve_scales(cfg)
     steps = cfg.steps if cfg.steps is not None else defaults["steps"]
     if anchors[-1] >= steps:
@@ -627,30 +630,26 @@ def _reanchor_descent(cfg: RunConfig) -> _Descent:
         eta=eta, steps=steps, mode="empirical", n_samples=n, seed=cfg.seed,
         record_every=record,
     )
-    return _Descent(config, init, polar0, label, dc)
+    return _Descent(config, init, polar0, label, dc, anchors)
 
 
-def _run_reanchor(cfg: RunConfig, memo: DescentMemo) -> _Outcome:
-    """Descent run whose magnitude band is re-anchored at cfg.anchors.
+def _run_reanchor(plan: _Descent, traj: Trajectory) -> _Outcome:
+    """Descent run whose magnitude band is re-anchored at the plan's anchors.
 
     Each anchor writes its own bounds CSV; the bands must all hold and each
     later anchor must have strictly smaller worst margin over its window.
     """
-    config, init, polar0, _, dc = _reanchor_descent(cfg)
-    anchors, m, eta = _anchors(cfg), config.m, dc.eta
-    traj = memo.run(config, init, dc)
-    tnorm = config.target_norm
-
-    outdir = _out_dir(cfg)
+    config, _, polar0, _, dc, anchors = plan
+    base_env = BoundEnvelope("magnitude", config.m, config.target_norm, polar0.angle,
+                             polar0.magnitude)
     checks: list[dict] = []
-    base_env = BoundEnvelope("magnitude", m, tnorm, polar0.angle, polar0.magnitude)
     worst_slacks: list[float] = []
-    bounds_files: list[str] = []
+    bounds: dict[str, dict[str, EnvelopeReport]] = {}
     times_list = list(traj.times)
     for anchor in anchors:
         idx = times_list.index(float(anchor))
         env = reanchored(base_env, traj, idx) if anchor else base_env
-        check, rep = _band_check(traj, env, eta, f"magnitude_envelope_anchor_{anchor}", True)
+        check, rep = _band_check(traj, env, dc.eta, f"magnitude_envelope_anchor_{anchor}", True)
         checks.append(check)
         # How far the band ever sits from the trajectory: the later the
         # anchor, the tighter this must get ("latest bounds are tightest").
@@ -658,17 +657,12 @@ def _run_reanchor(cfg: RunConfig, memo: DescentMemo) -> _Outcome:
             float(np.max(rep.uppers - rep.values)),
             float(np.max(rep.values - rep.lowers)),
         ))
-        fname = f"bounds_anchor_{anchor}.csv"
-        _write_bounds(outdir, {"magnitude": rep}, fname)
-        bounds_files.append(fname)
+        bounds[f"bounds_anchor_{anchor}.csv"] = {"magnitude": rep}
 
     tighten = all(b < a for a, b in zip(worst_slacks, worst_slacks[1:]))
     gaps = [a - b for a, b in zip(worst_slacks, worst_slacks[1:])]
     checks.append(_check("anchors_tighten", tighten, min(gaps) if gaps else 0.0))
-
-    _write_trajectory(outdir, _trajectory_rows(traj))
-    (outdir / "plot.gp").write_text(_plot_script(bounds_files, ["magnitude"], "step"))
-    return outdir, checks
+    return checks, _run_files(traj, bounds, "step")
 
 
 def _zmax(estimate_value: np.ndarray, closed: np.ndarray, stderr: np.ndarray) -> float:
@@ -708,7 +702,7 @@ def _run_lemma_verify(cfg: RunConfig) -> _Outcome:
     frac, bound = angle_concentration(100, 0.3, 100_000, kids[6])
     checks.append(_check("angle_concentration", frac >= bound, frac - bound))
 
-    return _out_dir(cfg), checks
+    return checks, {}
 
 
 def _run_error_scaling(cfg: RunConfig) -> _Outcome:
@@ -720,10 +714,6 @@ def _run_error_scaling(cfg: RunConfig) -> _Outcome:
     c, g = _band_forms(env).upper[0]
     pairs = gd_error_scaling(c, g, lambda w: _frozen_ode_rhs(1, 1.0, w), etas, horizon)
 
-    outdir = _out_dir(cfg)
-    lines = ["eta,max_error"] + [f"{_fmt(e)},{_fmt(err)}" for e, err in pairs]
-    (outdir / "errors.csv").write_text("\n".join(lines) + "\n")
-
     checks = []
     ratios = [a[1] / b[1] for a, b in zip(pairs, pairs[1:])]
     for (eta, _), ratio in zip(pairs, ratios):
@@ -731,11 +721,12 @@ def _run_error_scaling(cfg: RunConfig) -> _Outcome:
         checks.append(_check(f"halving_ratio_eta_{eta:g}", ok, min(ratio - 1.6, 2.4 - ratio)))
     slope = float(np.polyfit(np.log([p[0] for p in pairs]), np.log([p[1] for p in pairs]), 1)[0])
     checks.append(_check("log_log_slope", 0.8 <= slope <= 1.2, 0.2 - abs(slope - 1.0)))
-    return outdir, checks
+    return checks, {"errors.csv": _csv("eta,max_error", pairs)}
 
 
-def _stopping_descent(cfg: RunConfig) -> tuple[_Descent, BoundEnvelope, float, list[dict]]:
-    """The run's descent, its angle band, eps and the bracket recipe's checks."""
+def _stopping_descent(cfg: RunConfig) -> _Descent:
+    """The run's descent; its extra is the angle band, eps and the bracket
+    recipe's checks."""
     m = int(cfg.m) if cfg.m is not None else 1
     config, init, polar0, label = _draw_problem(cfg, m, _FIG_KSTAR.get(m, 1.0), "middle")
     r, R, checks = _rr_recipe(label, polar0.magnitude, config.target_norm)
@@ -744,13 +735,16 @@ def _stopping_descent(cfg: RunConfig) -> tuple[_Descent, BoundEnvelope, float, l
     eps = cfg.eps if cfg.eps is not None else 1e-2
     eta = cfg.eta if cfg.eta is not None else 0.005 * eta_threshold(env)
     T = stopping_time(env, eta, eps)
+    if T > _MAX_POPULATION_STEPS:
+        raise ConfigError(f"stopping-time certifies T = {T} population steps at eta={eta:.3g}, "
+                          f"more than {_MAX_POPULATION_STEPS}; set a larger eta or eps")
     dc = DescentConfig(eta=eta, steps=T, mode="population", record_every=_stride(T))
-    return _Descent(config, init, polar0, label, dc), env, eps, checks
+    return _Descent(config, init, polar0, label, dc, (env, eps, checks))
 
 
-def _run_stopping_time(cfg: RunConfig, memo: DescentMemo) -> _Outcome:
-    (config, init, _, _, dc), env, eps, checks = _stopping_descent(cfg)
-    traj = memo.run(config, init, dc)
+def _run_stopping_time(plan: _Descent, traj: Trajectory) -> _Outcome:
+    env, eps, recipe = plan.extra
+    checks = list(recipe)
     final_angle = traj.states[-1].angle
     _bracket(checks, traj, env.r, env.R)
     checks.append(
@@ -758,10 +752,8 @@ def _run_stopping_time(cfg: RunConfig, memo: DescentMemo) -> _Outcome:
                final_angle - (math.pi - eps))
     )
 
-    outdir = _out_dir(cfg)
-    rep = check_envelope(traj, env, 0.0, eta=dc.eta)
-    _write_run(outdir, traj, {"angle": rep}, "step")
-    return outdir, checks
+    rep = check_envelope(traj, env, 0.0, eta=plan.dc.eta)
+    return checks, _run_files(traj, {"bounds.csv": {"angle": rep}}, "step")
 
 
 # --- general deep network ---------------------------------------------------
@@ -892,11 +884,9 @@ def _run_deep_general(cfg: RunConfig) -> _Outcome:
         _check("loss_decreased", losses[-1] < losses[0], losses[0] - losses[-1]),
     ]
 
-    outdir = _out_dir(cfg)
     rows = [(t, nr, math.nan, ls) for t, nr, ls in zip(times, norms, losses)]
-    _write_trajectory(outdir, rows)
-    (outdir / "plot.gp").write_text(_plot_script([], ["magnitude"], "step"))
-    return outdir, checks
+    return checks, {"trajectory.csv": _trajectory_csv(rows),
+                    "plot.gp": _plot_script([], ["magnitude"], "step")}
 
 
 # ---------------------------------------------------------------------------
@@ -904,14 +894,14 @@ def _run_deep_general(cfg: RunConfig) -> _Outcome:
 class Experiment(NamedTuple):
     """A registered experiment kind: what it does, the config keys it cannot
     default, every key its runner reads (seed, output_dir and paper_scale
-    apply to all), the runner that executes it, given the config and the
-    memo its descents go through, and, for a descending kind, the plan of
-    its one descent, which the runner itself follows."""
+    apply to all), its runner and, for a descending kind, the plan of its
+    one descent. A runner takes the config, or, when its kind has a plan,
+    the plan and the trajectory of the plan's descent."""
 
     description: str
     required: frozenset[str]
     reads: frozenset[str]
-    run: Callable[[RunConfig, DescentMemo], _Outcome]
+    run: Callable[..., _Outcome]
     descent: Callable[[RunConfig], _Descent] | None = None
 
 
@@ -920,47 +910,35 @@ _PROBLEM_KEYS = frozenset({"m", "d", "init_scale", "target_scale"})
 _DESCENT_KEYS = _PROBLEM_KEYS | {"n", "steps", "eta"}
 
 
-def _gd_kinds(cfg: RunConfig) -> list[str]:
-    return ["magnitude", "angle"] if int(cfg.m) <= 1 else ["angle"]
-
-
 EXPERIMENTS: dict[str, Experiment] = {
     "flow": Experiment(
         "integrate the reduced flow and check it against its analytic bands",
-        frozenset({"m"}), _PROBLEM_KEYS | {"t_end", "dt"}, lambda cfg, _: _run_flow(cfg)),
+        frozenset({"m"}), _PROBLEM_KEYS | {"t_end", "dt"}, _run_flow),
     "gd": Experiment(
         "full-batch descent on sampled data, checked against descent-side bands",
-        frozenset({"m"}), _DESCENT_KEYS,
-        lambda cfg, memo: _run_descent_figure(cfg, memo, _gd_kinds(cfg)),
-        lambda cfg: _figure_descent(cfg, _gd_kinds(cfg))),
+        frozenset({"m"}), _DESCENT_KEYS, _run_descent_figure, _figure_descent),
     "figure-angle": Experiment(
         "angle dynamics of descent inside its analytic band",
-        frozenset({"m", "init_scale"}), _DESCENT_KEYS,
-        lambda cfg, memo: _run_descent_figure(cfg, memo, ["angle"]),
-        lambda cfg: _figure_descent(cfg, ["angle"])),
+        frozenset({"m", "init_scale"}), _DESCENT_KEYS, _run_descent_figure, _figure_descent),
     "figure-magnitude": Experiment(
         "magnitude dynamics of descent inside its analytic band (m <= 1)",
-        frozenset({"m", "init_scale"}), _DESCENT_KEYS,
-        lambda cfg, memo: _run_descent_figure(cfg, memo, ["magnitude"]),
-        lambda cfg: _figure_descent(cfg, ["magnitude"])),
+        frozenset({"m", "init_scale"}), _DESCENT_KEYS, _run_descent_figure, _figure_descent),
     "reanchor": Experiment(
         "descent magnitude bands re-anchored along the run; bands must tighten",
         frozenset({"m"}), _DESCENT_KEYS | {"anchors"}, _run_reanchor, _reanchor_descent),
     "lemma-verify": Experiment(
         "Monte Carlo verification of the Gaussian moment closed forms",
-        frozenset(), frozenset({"d", "n"}), lambda cfg, _: _run_lemma_verify(cfg)),
+        frozenset(), frozenset({"d", "n"}), _run_lemma_verify),
     "error-scaling": Experiment(
         "flow-vs-descent substitution error as a function of step size",
-        frozenset(), frozenset({"t_end"}), lambda cfg, _: _run_error_scaling(cfg)),
+        frozenset(), frozenset({"t_end"}), _run_error_scaling),
     "stopping-time": Experiment(
         "certified step count, then a run that must beat it",
-        frozenset(), _PROBLEM_KEYS | {"eta", "eps"}, _run_stopping_time,
-        lambda cfg: _stopping_descent(cfg)[0]),
+        frozenset(), _PROBLEM_KEYS | {"eta", "eps"}, _run_stopping_time, _stopping_descent),
     "deep-general": Experiment(
         "depth-5 ReLU network; parameter norm must move monotonically",
         frozenset({"init_scale"}),
-        frozenset({"init_scale", "d", "n", "steps", "eta", "target_scale"}),
-        lambda cfg, _: _run_deep_general(cfg)),
+        frozenset({"init_scale", "d", "n", "steps", "eta", "target_scale"}), _run_deep_general),
 }
 
 
@@ -986,13 +964,19 @@ def plan_descents(
 def run_experiment(cfg: RunConfig, memo: DescentMemo | None = None) -> ExperimentResult:
     """Run one experiment to completion: the frame of every run.
 
-    Starts the clock, lets the registered runner write its artifacts and
-    return its checks, then writes report.json with the runtime. Descents go
-    through `memo`, which a prefill or earlier runs may have filled; without
-    one the run gets a fresh memo and shares nothing.
+    Starts the clock; for a kind with a plan, takes the plan and runs its
+    descent through `memo`, which a prefill or earlier runs may have filled
+    (without one the run gets a fresh memo and shares nothing); calls the
+    runner; then writes the runner's artifacts and report.json with the
+    runtime.
     """
     t0 = time.monotonic()
+    spec = EXPERIMENTS[cfg.experiment]
     memo = memo if memo is not None else DescentMemo()
     reused = memo.reused
-    outdir, checks = EXPERIMENTS[cfg.experiment].run(cfg, memo)
-    return _finalize(outdir, cfg.experiment, cfg.seed, checks, t0, memo.reused > reused)
+    if spec.descent is None:
+        checks, artifacts = spec.run(cfg)
+    else:
+        plan = spec.descent(cfg)
+        checks, artifacts = spec.run(plan, memo.run(plan.config, plan.init, plan.dc))
+    return _finalize(cfg, checks, artifacts, t0, memo.reused > reused)

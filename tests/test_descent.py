@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from reluflow.bounds import BoundEnvelope, envelope_curve
 from reluflow.descent import (
     DescentConfig,
+    _GramStack,
     _active_gram,
     _gram_gradient,
     _teacher_labels,
@@ -253,6 +254,45 @@ def test_batched_descents_equal_lone_runs_bit_for_bit():
             assert np.array_equal(a.w, c.w) and a.hidden == c.hidden
     assert "blew up" in str(outs[1]) and "hidden scalar" in str(outs[-1])
     assert len(outs[4].times) == 1  # steps = 0: the start alone
+
+
+@pytest.mark.parametrize("above", [True, False], ids=["above-zero", "at-or-below-zero"])
+def test_a_watched_row_within_the_pad_is_tested_against_all_the_data(above):
+    """A step whose watch block holds a product within the pad of zero
+    cannot trust the block's signs, so the row tests every sign with X @ w,
+    as gd_step does. Here the start is placed on a line across one row's
+    hyperplane, by bisection, so that the first step, inside the certified
+    reach, lands that row's product a few ulps above zero (the row is
+    active) or at or below it (inactive): the run must still equal a fold
+    of gd_step bit for bit."""
+    cfg, start = make_problem(0, d=6, v0=0.8, phi0=2.0)
+    dc = DescentConfig(eta=0.01, steps=30, mode="empirical", n_samples=200, seed=3,
+                       record_every=1)
+    batch = np.random.default_rng(np.random.SeedSequence(dc.seed)).standard_normal((200, 6))
+    labels = _teacher_labels(cfg, batch)
+    k = int(np.flatnonzero(labels > 0)[0])  # a row whose sign moves the Gram data
+    u = batch[k] / np.linalg.norm(batch[k])
+    base = start.w - (start.w @ u) * u
+
+    def first_step(s):
+        return gd_step(cfg, WeightState(base + s * u, ()), dc.eta, batch).w
+
+    lo, hi = -0.5, 0.5
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if (batch @ first_step(mid))[k] > 0.0 else (mid, hi)
+    s = hi if above else lo
+    w0, w1 = base + s * u, first_step(s)
+    stack = _GramStack([batch], [labels], [dc.eta], [0])
+    stack(w0[None], np.ones((1, 0)), np.arange(1))  # takes w0 as the reference
+    assert k in stack.watch[0] and (w1 - w0) @ (w1 - w0) < stack.reach[0]
+    assert abs((batch @ w1)[k]) < stack.doubt[0] and ((batch @ w1)[k] > 0.0) == above
+    assert batch[k] @ w0 < 0.0
+    init = WeightState(w0, ())
+    traj = run_gd(cfg, init, dc)
+    want, _ = _fold_of_gd_step(cfg, init, dc)
+    assert len(traj.weight_states) == len(want) == 31
+    for got, ref in zip(traj.weight_states, want):
+        assert np.array_equal(got.w, ref.w)
 
 
 def test_batch_refuses_population_rows_and_mixed_dimensions():

@@ -63,6 +63,8 @@ def test_parse_numeric_init_scale(tmp_path):
         ("experiment = no-such-thing\nm = 0\n", "unknown experiment"),
         ("experiment = figure-angle\nm = 0\n", "needs keys"),
         ("experiment = flow\nm = 1\nanchors = 0,abc\n", "bad value"),
+        # An empty output_dir would write into the working directory.
+        ("experiment = flow\nm = 1\noutput_dir =\n", "run.cfg:3: 'output_dir' needs a value"),
     ],
 )
 def test_parse_errors_carry_context(tmp_path, text, needle):
@@ -301,6 +303,18 @@ def test_reanchor_writes_per_anchor_bounds(tmp_path):
     assert len(tighten) == 1
 
 
+@pytest.mark.parametrize("label,v0,tnorm", [("small", 2.0, 1.0), ("large", 0.4, 1.0)])
+def test_degenerate_bracket_recipe_widens_with_an_advisory(label, v0, tnorm):
+    # A small start above the target norm, or a large one below half of it,
+    # gives r >= R; the bracket widens around both norms and says so.
+    r, R, checks = experiments._rr_recipe(label, v0, tnorm)
+    (raw_r, raw_R) = (v0, tnorm) if label == "small" else (tnorm / 2.0, v0)
+    assert checks == [{"name": "rR_recipe_degenerate_advisory", "pass": True,
+                       "margin": raw_r - raw_R}]
+    assert (r, R) == (0.5 * min(v0, tnorm), 1.001 * max(v0, tnorm))
+    assert r < min(v0, tnorm) and max(v0, tnorm) < R
+
+
 def test_reanchor_rejects_anchor_past_end(tmp_path):
     cfg = RunConfig(experiment="reanchor", m=1, d=8, n=400, eta=1e-4,
                     steps=400, seed=1, output_dir=str(tmp_path))
@@ -376,12 +390,15 @@ def test_cli_numerical_failure_exits_three(tmp_path, capsys, text):
         # In R^1 the start is parallel or antiparallel to the teacher.
         ("experiment = flow\nm = 1\nd = 1\n", "d must be >= 2"),
         ("experiment = stopping-time\nd = 1\n", "d must be >= 2"),
+        # eta = 1e-9 certifies 567,717,453 population steps: hours of descent.
+        ("experiment = stopping-time\neta = 1e-9\n", "T = 567717453 population steps"),
     ],
     ids=["flow-t_end-inf", "figure-angle-eta-nan", "flow-d-zero", "figure-angle-init_scale-negative",
          "lemma-verify-n-one", "gd-steps-negative", "reanchor-anchor-negative", "flow-dt-zero",
          "stopping-time-eps-negative", "stopping-time-eps-past-pi", "flow-seed-negative", "reanchor-anchor-repeated",
          "lemma-verify-unread-keys", "flow-unread-key", "flow-dt-above-t_end",
-         "flow-dt-above-resolved-t_end", "flow-step-cap", "flow-d-one", "stopping-time-d-one"],
+         "flow-dt-above-resolved-t_end", "flow-step-cap", "flow-d-one", "stopping-time-d-one",
+         "stopping-time-step-cap"],
 )
 def test_cli_non_finite_value_exits_two(tmp_path, capsys, text, needle):
     # Out-of-range values are config errors too: they are refused before the
@@ -438,8 +455,8 @@ def _artifacts(base):
 
 
 def test_cli_config_error_inside_a_runner_exits_two(tmp_path, capsys):
-    # figure-magnitude refuses m = 2 inside its runner, after the run before
-    # it has written its artifacts.
+    # figure-magnitude refuses m = 2 inside its run, after the run before it
+    # has written its artifacts and printed its line.
     paths = [
         write_cfg(tmp_path, "experiment = flow\nm = 0\nd = 5\nt_end = 1.0\n", "flow.cfg"),
         write_cfg(tmp_path, "experiment = figure-magnitude\nm = 2\ninit_scale = small\n",
@@ -447,7 +464,9 @@ def test_cli_config_error_inside_a_runner_exits_two(tmp_path, capsys):
     ]
     argv = ["run"] + [a for p in paths for a in ("--config", str(p))]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
-    assert "m <= 1 only" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "m <= 1 only" in captured.err
+    assert captured.out == f"[PASS] flow seed=0 (3/3 checks) -> {tmp_path / 'o' / 'flow'}\n"
     assert (tmp_path / "o" / "flow" / "report.json").exists()
 
 

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reluflow.descent import DescentConfig, run_gd, run_gd_batch
-from reluflow.errors import DomainError
+from reluflow.errors import DivergenceError, DomainError
 from reluflow.flow import (
+    _FREEZE_GAP,
     FlowSpec,
     Trajectory,
+    _check_step,
     epsilon_gap,
     integrate_polar,
     integrate_vector,
@@ -249,6 +251,28 @@ def test_angle_freeze_near_alignment():
 
 # ----------------------------------------------------------------
 # full-vector integration
+
+@pytest.mark.parametrize(
+    "v,phi,needle",
+    [(math.nan, 1.0, "non-finite state"), (1.0, math.inf, "non-finite state"),
+     (-2e12, 1.0, "exceeded"), (1.0, math.pi + 1e-9, "overshot pi"),
+     (1.0, 0.0, "downward"), (1.0, -1e-3, "downward")],
+    ids=["nan-magnitude", "infinite-angle", "blow-up", "overshoot", "angle-zero",
+         "angle-negative"],
+)
+def test_step_guard_refuses_a_state_off_the_flow(v, phi, needle):
+    with pytest.raises(DivergenceError, match=needle):
+        _check_step(v, phi, 0.25)
+
+
+def test_step_guard_clamps_an_overshoot_within_the_gap_and_freezes_near_pi():
+    below_pi = math.nextafter(math.pi, 0.0)
+    for phi in (math.pi, math.pi + 0.5 * _FREEZE_GAP):
+        assert _check_step(1.0, phi, 0.25) == (below_pi, True)
+    near = math.pi - 0.5 * _FREEZE_GAP
+    assert _check_step(1.0, near, 0.25) == (near, True)
+    assert _check_step(1.0, 2.0, 0.25) == (2.0, False)
+
 
 def test_vector_flow_reduces_to_polar():
     rng = np.random.default_rng(9)
