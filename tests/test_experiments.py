@@ -649,8 +649,8 @@ def test_planning_stops_at_the_first_config_whose_plan_raises():
 
 
 def test_plans_state_the_descents_the_runners_run(tmp_path, monkeypatch):
-    """Over the shipped configs the plans give exactly the runners' own
-    run_gd inputs, config by config, at the configs' seeds."""
+    """Over the shipped configs the plans give exactly the run_gd inputs of
+    the runs themselves, config by config, at the configs' seeds."""
     runner_keys = []
 
     def plan_only(config, init, dc):
