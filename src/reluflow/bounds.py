@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -80,7 +81,8 @@ class BoundEnvelope:
     kind selects the coordinate ('magnitude' or 'angle'); (v0, phi0) is the
     reduced state at anchor_time. r and R are trusted magnitude bounds over
     the checked window, required by angle envelopes (the angle rate depends
-    on the magnitude) and unused by magnitude envelopes.
+    on the magnitude) and unused by magnitude envelopes. m is stored as a
+    Python int and every other number as a Python float.
     """
 
     kind: str
@@ -115,6 +117,11 @@ class BoundEnvelope:
             raise DomainError("angle envelopes need both magnitude bounds r and R")
         if self.r is not None and not self.r > 0:
             raise DomainError("r must be positive")
+        object.__setattr__(self, "m", operator.index(self.m))
+        for name in ("target_norm", "phi0", "v0", "r", "R", "anchor_time"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, float(value))
 
     @property
     def eps0(self) -> float:
@@ -137,6 +144,9 @@ class EnvelopeReport:
     values: np.ndarray
     lowers: np.ndarray
     uppers: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "worst_margin", float(self.worst_margin))
 
 
 class _Term(NamedTuple):
@@ -238,13 +248,17 @@ def _frozen_ode_rhs(m: int, a: float, v: float) -> float:
     return -0.5 * v**m * (v ** (m + 1) - a)
 
 
-def _check_frozen(eps: float, v0: float, tau: float) -> None:
+def _check_frozen(m: int, target_norm: float, eps: float, v0: float,
+                  tau: float) -> tuple[int, float, float, float, float]:
+    """The frozen-gap paths' checks; returns their arguments as Python
+    scalars."""
     if not 0.0 <= eps <= 1.0:
         raise DomainError(f"eps={eps} must lie in [0, 1]")
     if not tau >= 0:
         raise DomainError("tau must be non-negative")
     if not v0 > 0:
         raise DomainError("v0 must be positive")
+    return operator.index(m), float(target_norm), float(eps), float(v0), float(tau)
 
 
 def frozen_gap_magnitude_ode(
@@ -253,12 +267,12 @@ def frozen_gap_magnitude_ode(
     """u(tau; eps) by fixed-step RK4 on the frozen-gap equation (reference path)."""
     if m < 1:
         raise DomainError("frozen-gap magnitude paths apply to m >= 1")
-    _check_frozen(eps, v0, tau)
+    m, target_norm, eps, v0, tau = _check_frozen(m, target_norm, eps, v0, tau)
     if not dt > 0:
         raise DomainError(f"dt={dt} must be positive")
     if tau == 0.0:
         return v0
-    return float(_ode_sweep(m, target_norm, eps, v0, np.array([tau]), dt)[0])
+    return float(_ode_sweep(m, target_norm, eps, v0, np.array([tau]), float(dt))[0])
 
 
 def frozen_gap_magnitude_implicit(
@@ -279,7 +293,7 @@ def frozen_gap_magnitude_implicit(
     """
     if m < 2:
         raise DomainError("the implicit path needs m >= 2")
-    _check_frozen(eps, v0, tau)
+    m, target_norm, eps, v0, tau = _check_frozen(m, target_norm, eps, v0, tau)
     if tau == 0.0:
         return v0
     a = target_norm ** (m + 1) * (1.0 - eps)
@@ -473,7 +487,7 @@ def check_envelope(
     worst = int(np.argmax(margins))
     return EnvelopeReport(
         passed=bool(margins[worst] <= slack),
-        worst_margin=float(margins[worst]),
+        worst_margin=margins[worst],
         times=times,
         values=values,
         lowers=lowers,
@@ -516,6 +530,7 @@ def convergence_horizon(
     slowest local rate, with a 30% safety factor. Deliberately conservative,
     never tuned per run.
     """
+    m, target_norm, v0, phi0 = operator.index(m), float(target_norm), float(v0), float(phi0)
     eps0 = epsilon_gap(phi0)
     attractor = target_norm * (1.0 - eps0) ** (1.0 / (m + 1))
     r = min(v0, attractor)

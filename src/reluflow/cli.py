@@ -24,7 +24,8 @@ byte-identical to the run's own. Each run's line prints as that run ends.
 
 Exit status is 0 exactly when every check in every run passed, 1 when some
 check failed, 2 on a configuration or usage error (two configs writing to
-one output directory, or an output that cannot be written, included), and 3
+one output directory, an empty ``--out``, or an output that cannot be
+written, included), and 3
 when a run failed: a trajectory diverged, an iteration did not converge, no
 evaluation path exists, a routine was handed an argument outside its
 domain, or a float operation overflowed or divided by zero.
@@ -57,6 +58,8 @@ def _load(path: str, args: argparse.Namespace, multi: bool) -> RunConfig:
     if args.paper_scale:
         cfg = replace(cfg, paper_scale=True)
     if args.out is not None:
+        if not args.out:  # Path('') would be the working directory
+            raise ConfigError("--out needs a value")
         out = Path(args.out) / Path(path).stem if multi else Path(args.out)
         cfg = replace(cfg, output_dir=str(out))
     return cfg

@@ -70,6 +70,7 @@ them the states, of `run_gd` and of a fold of `gd_step` agree exactly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -86,7 +87,8 @@ class DescentConfig:
     """Step size, length, and gradient source of a descent run.
 
     mode 'population' uses the exact gradient; 'empirical' uses the
-    full-batch gradient on n_samples inputs drawn once from seed.
+    full-batch gradient on n_samples inputs drawn once from seed. eta is
+    stored as a Python float and the counts as Python ints.
     """
 
     eta: float
@@ -106,6 +108,9 @@ class DescentConfig:
             raise DomainError("empirical mode needs an integer n_samples >= 1")
         if not (_is_count(self.record_every) and self.record_every >= 1):
             raise DomainError("record_every must be an integer >= 1")
+        object.__setattr__(self, "eta", float(self.eta))
+        for name in ("steps", "n_samples", "seed", "record_every"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
 
 
 def gd_step(
@@ -374,9 +379,11 @@ def gd_error_scaling(
         raise DomainError(f"horizon must be positive and finite, got {horizon}")
     if not etas:
         raise DomainError("need at least one step size")
+    c, horizon = float(c), float(horizon)
     out = []
     for eta in etas:
         _certify_eta(eta, 1.0 / c)
+        eta = float(eta)
         steps = max(1, round(horizon / eta))
         base = 1.0 - c * eta
         w = g(1.0)
@@ -385,7 +392,7 @@ def gd_error_scaling(
             w = w + eta * flow_rhs(w)
             ref = g(base**k)
             worst = max(worst, abs(w - ref))
-        out.append((float(eta), float(worst)))
+        out.append((eta, float(worst)))
     return out
 
 

@@ -329,7 +329,11 @@ def _advisory(name: str, margin: float) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Where a run wrote its artifacts and whether every check passed."""
+    """Where a run wrote its artifacts and whether every check passed.
+
+    files names what the run wrote, report.json included; a file an earlier
+    run left in the same directory is not listed.
+    """
 
     output_dir: Path
     report: dict
@@ -354,12 +358,11 @@ def _finalize(
         "runtime_seconds": time.monotonic() - t0,
     }
     (outdir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-    files = tuple(sorted(p.name for p in outdir.iterdir()))
     return ExperimentResult(
         output_dir=outdir,
         report=report,
         passed=all(c["pass"] for c in checks),
-        files=files,
+        files=tuple(sorted([*artifacts, "report.json"])),
         descent_shared=descent_shared,
     )
 

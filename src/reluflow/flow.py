@@ -30,6 +30,13 @@ keep NumPy for the reductions: the kernel's two dots stay BLAS dots, whose
 summation order is BLAS's own. A NumPy elementwise op and a Python float op
 are each one IEEE-754 double operation, with no fused multiply-add, so the
 same operands combined in the same order give the ndarray form's bits.
+Scalars follow the same rule, since arithmetic on a NumPy scalar costs
+about twice that on a Python float: a `FlowSpec` stores m as a Python int
+(through operator.index) and target_norm, t_end and dt as Python floats,
+its `PolarState` stores its magnitude and angle as Python floats, and each
+public function here converts its scalar arguments once, on entry. A NumPy
+scalar handed in never reaches an RK4 loop, and float(np.float64(x)) is x,
+so no bit moves.
 
 Integration is classic fixed-step fourth-order Runge-Kutta: the step-halving
 order checks in the test suite and the tight envelope tolerances rely on a
@@ -57,6 +64,7 @@ its configs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -96,17 +104,19 @@ def _is_count(value: object) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_sample_every(sample_every: int) -> None:
+def _check_sample_every(sample_every: int) -> int:
     if not (_is_count(sample_every) and sample_every >= 1):
         raise DomainError(f"sample_every must be an integer >= 1, got {sample_every!r}")
+    return operator.index(sample_every)
 
 
-def _check_horizon(dt: float, t_end: float) -> None:
+def _check_horizon(dt: float, t_end: float) -> tuple[float, float]:
     # Stated positively: NaN fails every comparison, and an infinite
     # t_end / dt has no step count.
     if not (0.0 < dt <= t_end and t_end / dt < math.inf):
         raise DomainError(f"need 0 < dt <= t_end and a finite t_end / dt, "
                           f"got dt={dt}, t_end={t_end}")
+    return float(dt), float(t_end)
 
 
 def epsilon_gap(phi: float) -> float:
@@ -117,6 +127,7 @@ def epsilon_gap(phi: float) -> float:
     """
     if not 0.0 <= phi <= math.pi:
         raise DomainError(f"phi={phi} must lie in [0, pi]")
+    phi = float(phi)
     delta = math.pi - phi
     if delta < _SERIES_GAP:
         return delta * delta * (
@@ -149,7 +160,8 @@ def polar_rhs(m: int, target_norm: float, state: PolarState) -> tuple[float, flo
         raise DomainError("polar dynamics need magnitude > 0")
     if not 0.0 < state.angle < math.pi:
         raise DomainError(f"angle {state.angle} must lie strictly inside (0, pi)")
-    return _polar_rates(m, target_norm ** (m + 1), state.magnitude, state.angle)
+    m = operator.index(m)
+    return _polar_rates(m, float(target_norm) ** (m + 1), state.magnitude, state.angle)
 
 
 def vector_rhs(config: NeuronConfig, state: WeightState) -> tuple[np.ndarray, np.ndarray]:
@@ -160,7 +172,8 @@ def vector_rhs(config: NeuronConfig, state: WeightState) -> tuple[np.ndarray, np
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """A reduced-flow initial value problem plus integrator settings."""
+    """A reduced-flow initial value problem plus integrator settings, with m
+    stored as a Python int and the times and target_norm as Python floats."""
 
     m: int
     target_norm: float
@@ -177,7 +190,11 @@ class FlowSpec:
             raise DomainError("initial magnitude must be positive")
         if not 0.0 < self.initial.angle < math.pi:
             raise DomainError("initial angle must lie strictly inside (0, pi)")
-        _check_horizon(self.dt, self.t_end)
+        dt, t_end = _check_horizon(self.dt, self.t_end)
+        object.__setattr__(self, "m", operator.index(self.m))
+        object.__setattr__(self, "target_norm", float(self.target_norm))
+        object.__setattr__(self, "t_end", t_end)
+        object.__setattr__(self, "dt", dt)
 
 
 @dataclass(frozen=True)
@@ -231,6 +248,7 @@ class Trajectory:
 
 def balanced_population_loss(m: int, target_norm: float, state: PolarState) -> float:
     """Population loss of the balanced realization of a reduced state."""
+    m, target_norm = operator.index(m), float(target_norm)
     v, phi = state.magnitude, state.angle
     theta = math.pi - phi
     h = relu_product_moment(theta)
@@ -267,7 +285,7 @@ def integrate_polar(spec: FlowSpec, sample_every: int = 1) -> Trajectory:
     step. Once the angle comes within 1e-12 of pi it is frozen (converged)
     while the magnitude keeps evolving.
     """
-    _check_sample_every(sample_every)
+    sample_every = _check_sample_every(sample_every)
     m, tn = spec.m, spec.target_norm
     a = tn ** (m + 1)
     n_steps = max(1, round(spec.t_end / spec.dt))
@@ -381,8 +399,8 @@ def integrate_vector(
     each sample.
     Works for arbitrary (not necessarily balanced) positive hidden scalars.
     """
-    _check_sample_every(sample_every)
-    _check_horizon(dt, t_end)
+    sample_every = _check_sample_every(sample_every)
+    dt, t_end = _check_horizon(dt, t_end)
     n_steps = max(1, round(t_end / dt))
     h = t_end / n_steps
     d, half, sixth = config.d, 0.5 * h, h / 6.0

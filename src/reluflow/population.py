@@ -32,6 +32,7 @@ Two angle variables appear throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -60,8 +61,8 @@ class NeuronConfig:
     target_norm = ||target_w||, so their product is target_norm^m. Both are
     computed once, at construction, together with target_floats, the
     entries of target_w as Python floats, which the gradient kernel reads.
-    Equality is identity: a generated __eq__ would ask an array for its
-    truth value.
+    d and m are stored as Python ints. Equality is identity: a generated
+    __eq__ would ask an array for its truth value.
     """
 
     d: int
@@ -76,6 +77,8 @@ class NeuronConfig:
             raise DomainError(f"d={self.d} must be a positive integer")
         if self.m < 0:
             raise DomainError(f"m={self.m} must be a non-negative integer")
+        object.__setattr__(self, "d", operator.index(self.d))
+        object.__setattr__(self, "m", operator.index(self.m))
         # A copy the caller cannot write to: the norm, product and floats
         # below are cached from it.
         w = np.array(self.target_w, dtype=float)
@@ -116,7 +119,8 @@ class WeightState:
 
 @dataclass(frozen=True)
 class PolarState:
-    """Reduced coordinates of a state: magnitude ||w|| and alignment angle."""
+    """Reduced coordinates of a state: magnitude ||w|| and alignment angle,
+    stored as Python floats."""
 
     magnitude: float
     angle: float
@@ -126,6 +130,8 @@ class PolarState:
             raise DomainError(f"magnitude {self.magnitude} must be finite and >= 0")
         if not (0.0 <= self.angle <= math.pi):
             raise DomainError(f"angle {self.angle} must lie in [0, pi]")
+        object.__setattr__(self, "magnitude", float(self.magnitude))
+        object.__setattr__(self, "angle", float(self.angle))
 
 
 def _check_unit(u: np.ndarray, name: str) -> np.ndarray:
@@ -184,6 +190,7 @@ def relu_product_moment(theta: float) -> float:
     """
     if not 0.0 <= theta <= math.pi:
         raise DomainError(f"theta={theta} must lie in [0, pi]")
+    theta = float(theta)
     return 0.5 * (1.0 - theta / math.pi) * math.cos(theta) + math.sin(theta) / (
         2.0 * math.pi
     )

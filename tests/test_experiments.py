@@ -301,6 +301,12 @@ def test_reanchor_writes_per_anchor_bounds(tmp_path):
         assert f"bounds_anchor_{a}.csv" in names
     tighten = [c for c in res.report["checks"] if c["name"] == "anchors_tighten"]
     assert len(tighten) == 1
+    # A second run into the same directory lists only what it wrote, not the
+    # first run's anchors still on disk.
+    again = run_experiment(dataclasses.replace(cfg, anchors=(0, 50)))
+    assert again.files == ("bounds_anchor_0.csv", "bounds_anchor_50.csv", "plot.gp",
+                           "report.json", "trajectory.csv")
+    assert (tmp_path / "bounds_anchor_200.csv").exists()
 
 
 @pytest.mark.parametrize("label,v0,tnorm", [("small", 2.0, 1.0), ("large", 0.4, 1.0)])
@@ -412,6 +418,18 @@ def test_cli_negative_seed_flag_exits_two(tmp_path, capsys):
     p = write_cfg(tmp_path, "experiment = flow\nm = 0\nd = 5\nt_end = 1.0\n")
     assert main(["run", "--config", str(p), "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
     assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_cli_empty_out_flag_exits_two_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # Path('') is the working directory; the flag is refused as the empty
+    # output_dir key is.
+    p = write_cfg(tmp_path, "experiment = flow\nm = 0\nd = 5\nt_end = 1.0\n")
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["run", "--config", str(p), "--out", ""]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert list(cwd.iterdir()) == []
 
 
 def test_cli_run_and_seed_override(tmp_path, capsys):
