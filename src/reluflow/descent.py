@@ -50,22 +50,24 @@ full `X @ w`. At a reference w_ref it takes the margins
 r_i = |x_i.w_ref| / |x_i| and keeps the `_WATCH` rows of smallest margin as
 one contiguous block; rho is the next smallest margin. By Cauchy-Schwarz,
 |x_i.w - x_i.w_ref| <= |x_i| |w - w_ref|, so while |w - w_ref| < rho no row
-outside the block changes sign and a step tests only the block; otherwise
-w becomes the new reference. With n <= `_WATCH` there is no block and
-every step tests every row. The step runs on the stacks of all rows: the
-reach test, the block products, the sign tests, the Gram gradient and the
-update. A row that must take a new reference, test every row or re-form
-(G_S, b_S) does that alone, on its own row of `_GramStack`'s stacks.
+outside the block changes sign. A step settles S one of two ways: if w
+lies within that reach and no block sign is in doubt (below), S takes the
+block's signs; otherwise w becomes the new reference and S is `X @ w > 0`,
+the test `gd_step` makes. (G_S, b_S) are re-formed only if S changed. With
+n <= `_WATCH` there is no block and every step takes the second way. The
+step runs on the stacks of all rows: the reach test, the block products,
+the sign tests, the Gram gradient and the update. A row that must settle
+does that alone, on its own row of `_GramStack`'s stacks.
 
 Rounding only shifts the argument. A d-term dot product is off by at most
 about d units of roundoff times |x_i| |w|, whatever the summation order.
 With the pad 4 (d + 2) eps, the radius is rho (1 - pad) - pad |w_ref|,
 which covers the rounding of r_i, of x_i.w and of |w - w_ref|; a radius
 the pad leaves non-positive certifies nothing, and the next step takes a
-new reference. A block row whose product lies within about pad |x_i| |w|
-of zero, where two summation orders could disagree on its sign, sends the
-step to the full `X @ w > 0` that `gd_step` uses. So the masks, and with
-them the states, of `run_gd` and of a fold of `gd_step` agree exactly.
+new reference. A block product within about pad |x_i| |w| of zero, where
+two summation orders could disagree on its sign, is in doubt. So the
+masks, and with them the states, of `run_gd` and of a fold of `gd_step`
+agree exactly.
 """
 from __future__ import annotations
 
@@ -191,7 +193,8 @@ class _GramStack:
     changes, and the reference, squared radius, watch block, doubt and
     block signs that certify S between tests (see the module docstring);
     per-row lists hold what only a settle reads: the data, labels, row
-    norms, active mask and watch indices.
+    norms, active mask (empty at first, as (G_S, b_S) start at zero) and
+    watch indices.
 
     A row passes the stacked test when w lies within its reach and every
     block product lies beyond the pad on the side its row had at the last
@@ -206,7 +209,7 @@ class _GramStack:
         rows, d = len(batches), batches[0].shape[1]
         self.batch, self.labels = batches, labels
         self.row_norms = [np.linalg.norm(x, axis=1) for x in batches]
-        self.active, self.watch = [None] * rows, [None] * rows
+        self.active, self.watch = [np.zeros(len(x), bool) for x in batches], [None] * rows
         self.pad = 4 * (d + 2) * np.finfo(float).eps
         self.rows = np.arange(rows)  # the march's indices of the rows held
         self.n = np.array([[x.shape[0]] for x in batches], dtype=float)
@@ -245,44 +248,36 @@ class _GramStack:
 
     def settle(self, j: int, w: np.ndarray, near: bool, pre: np.ndarray) -> None:
         """Bring row j's S and (G_S, b_S) up to date at w, given whether w
-        lies within the reach of its reference and the block products at w."""
-        if near:
-            signs = pre > self.doubt[j]
-            # Equal only if no block row lies within the pad of zero.
-            if (signs == (pre >= -self.doubt[j])).all():
-                self.active[j][self.watch[j]] = signs
-                self.side[j] = np.where(signs, 1.0, -1.0)
-                self._reform(j)
-                return
-            active = self.batch[j] @ w > 0.0
+        lies within the reach of its reference and the block products at w.
+        S takes the block's signs if w is near and none is in doubt; else w
+        becomes the reference and S is every sign at w."""
+        doubt = self.doubt[j]
+        if near and (np.abs(pre) > doubt).all():  # no block product within the pad of zero
+            active = self.active[j].copy()
+            active[self.watch[j]] = pre > doubt
         else:
-            active = self._reference(j, w)
-        if self.active[j] is None or (active != self.active[j]).any():
+            batch, row_norms = self.batch[j], self.row_norms[j]
+            full = batch @ w
+            active = full > 0.0
+            self.reach[j] = -1.0
+            if len(batch) > _WATCH:
+                margins = np.abs(full) / row_norms
+                order = np.argpartition(margins, _WATCH)
+                norm = math.sqrt(w @ w)
+                radius = float(margins[order[_WATCH]]) * (1.0 - self.pad) - self.pad * norm
+                if radius > 0.0:
+                    self.w_ref[j] = w
+                    self.reach[j] = radius * radius
+                    self.watch[j] = order[:_WATCH]
+                    self.block[j] = batch[self.watch[j]]
+                    # Any w within the radius has |w| < norm + radius.
+                    self.doubt[j] = (self.pad * float(row_norms[self.watch[j]].max())
+                                     * (norm + radius))
+        if (active != self.active[j]).any():
             self.active[j] = active
             self._reform(j)
         if self.reach[j] > 0.0:
             self.side[j] = np.where(active[self.watch[j]], 1.0, -1.0)
-
-    def _reference(self, j: int, w: np.ndarray) -> np.ndarray:
-        """Make w row j's reference and return every data row's sign at w.
-        With n <= _WATCH there is no block: every step tests every row."""
-        batch, row_norms = self.batch[j], self.row_norms[j]
-        pre = batch @ w
-        self.reach[j] = -1.0
-        if len(batch) > _WATCH:
-            margins = np.abs(pre) / row_norms
-            order = np.argpartition(margins, _WATCH)
-            norm = math.sqrt(w @ w)
-            radius = float(margins[order[_WATCH]]) * (1.0 - self.pad) - self.pad * norm
-            if radius > 0.0:
-                self.w_ref[j] = w
-                self.reach[j] = radius * radius
-                self.watch[j] = order[:_WATCH]
-                self.block[j] = batch[self.watch[j]]
-                # Any w within the radius has |w| < norm + radius.
-                self.doubt[j] = (self.pad * float(row_norms[self.watch[j]].max())
-                                 * (norm + radius))
-        return pre > 0.0
 
     def _reform(self, j: int) -> None:
         self.gram[j], self.moment[j] = _active_gram(self.batch[j], self.labels[j],
@@ -413,7 +408,8 @@ def stopping_time(env: BoundEnvelope, eta: float, eps: float) -> int:
 
     Returns 0 when the band already starts above pi - eps. eta must sit
     below a tenth of `eta_threshold(env)`, 1 / c at the band's fastest rate
-    (hard), ideally below a hundredth (warned otherwise).
+    (hard), ideally below a hundredth (warned otherwise), and rate*eta must
+    move 1 - rate*eta off 1 (else DomainError).
     """
     if env.kind != "angle":
         raise DomainError("stopping times come from angle envelopes")
@@ -426,4 +422,6 @@ def stopping_time(env: BoundEnvelope, eta: float, eps: float) -> int:
     if x >= 1.0:
         return 0
     q = 1.0 - rate * eta
+    if q == 1.0:  # log(q) would be 0
+        raise DomainError(f"rate*eta = {rate * eta:.3g} is below the resolution of 1 - rate*eta")
     return int(math.floor(math.log(x) / math.log(q))) + 1

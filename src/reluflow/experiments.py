@@ -204,6 +204,8 @@ class RunConfig:
             raise ConfigError(f"anchors must be distinct steps, got {self.anchors}")
         if self.eps is not None and self.eps >= math.pi:  # any angle beats pi - eps <= 0
             raise ConfigError(f"eps must be < pi, got {self.eps}")
+        if self.eps is not None and math.pi - self.eps == math.pi:  # no angle beats pi - eps
+            raise ConfigError(f"eps must exceed pi's resolution, got {self.eps}")
         if self.dt is not None and self.t_end is not None and self.dt > self.t_end:
             raise ConfigError(f"dt must be <= t_end, got dt={self.dt} > t_end={self.t_end}")
         if self.experiment != "deep-general" and self.d is not None and self.d < 2:
@@ -958,7 +960,7 @@ def plan_descents(
             continue
         try:
             p = plan(cfg)
-        except (ValueError, RuntimeError):  # the base classes of every package error
+        except Exception:  # the run re-plans and raises the same error at its turn
             break
         problems.append((p.config, p.init, p.dc))
     return problems

@@ -256,15 +256,10 @@ def test_batched_descents_equal_lone_runs_bit_for_bit():
     assert len(outs[4].times) == 1  # steps = 0: the start alone
 
 
-@pytest.mark.parametrize("above", [True, False], ids=["above-zero", "at-or-below-zero"])
-def test_a_watched_row_within_the_pad_is_tested_against_all_the_data(above):
-    """A step whose watch block holds a product within the pad of zero
-    cannot trust the block's signs, so the row tests every sign with X @ w,
-    as gd_step does. Here the start is placed on a line across one row's
-    hyperplane, by bisection, so that the first step, inside the certified
-    reach, lands that row's product a few ulps above zero (the row is
-    active) or at or below it (inactive): the run must still equal a fold
-    of gd_step bit for bit."""
+def _in_pad_start(above):
+    """A start on a line across one data row's hyperplane, placed by
+    bisection so that the first step lands that row's product a few ulps
+    above zero (the row is active) or at or below it (inactive)."""
     cfg, start = make_problem(0, d=6, v0=0.8, phi0=2.0)
     dc = DescentConfig(eta=0.01, steps=30, mode="empirical", n_samples=200, seed=3,
                        record_every=1)
@@ -281,7 +276,17 @@ def test_a_watched_row_within_the_pad_is_tested_against_all_the_data(above):
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         lo, hi = (lo, mid) if (batch @ first_step(mid))[k] > 0.0 else (mid, hi)
     s = hi if above else lo
-    w0, w1 = base + s * u, first_step(s)
+    return cfg, dc, batch, labels, k, base + s * u, first_step(s)
+
+
+@pytest.mark.parametrize("above", [True, False], ids=["above-zero", "at-or-below-zero"])
+def test_a_watched_row_within_the_pad_is_tested_against_all_the_data(above):
+    """A step whose watch block holds a product within the pad of zero
+    cannot trust the block's signs, so the row tests every sign with X @ w,
+    as gd_step does. Here the first step, inside the certified reach, lands
+    one watched row's product within the pad (`_in_pad_start`): the run must
+    still equal a fold of gd_step bit for bit."""
+    cfg, dc, batch, labels, k, w0, w1 = _in_pad_start(above)
     stack = _GramStack([batch], [labels], [dc.eta], [0])
     stack(w0[None], np.ones((1, 0)), np.arange(1))  # takes w0 as the reference
     assert k in stack.watch[0] and (w1 - w0) @ (w1 - w0) < stack.reach[0]
@@ -293,6 +298,21 @@ def test_a_watched_row_within_the_pad_is_tested_against_all_the_data(above):
     assert len(traj.weight_states) == len(want) == 31
     for got, ref in zip(traj.weight_states, want):
         assert np.array_equal(got.w, ref.w)
+
+
+@pytest.mark.parametrize("above", [True, False], ids=["above-zero", "at-or-below-zero"])
+def test_a_row_in_doubt_takes_w_as_its_new_reference(above):
+    """A settle has two outcomes: the block's signs, or every sign at w with
+    w as the new reference. A block sign in doubt inside the reach takes
+    the second."""
+    _, dc, batch, labels, _, w0, w1 = _in_pad_start(above)
+    stack = _GramStack([batch], [labels], [dc.eta], [0])
+    stack(w0[None], np.ones((1, 0)), np.arange(1))
+    assert np.array_equal(stack.w_ref[0], w0)
+    stack(w1[None], np.ones((1, 0)), np.arange(1))
+    assert np.array_equal(stack.w_ref[0], w1)
+    assert np.array_equal(stack.active[0], batch @ w1 > 0.0)
+    assert np.array_equal(stack.gram[0], _active_gram(batch, labels, batch @ w1 > 0.0)[0])
 
 
 def test_batch_refuses_population_rows_and_mixed_dimensions():
@@ -514,6 +534,13 @@ def test_stopping_time_reference_value():
     # direct-formula evaluation: least T with (1-η/4)^T < (ε/2)tan(φ₀/2)
     env = BoundEnvelope("angle", 1, 1.0, math.pi / 2, 0.5, r=0.5, R=1.5)
     assert stopping_time(env, 1e-3, 1e-2) == 21_191
+
+
+def test_stopping_time_refuses_a_step_too_small_to_move_the_band():
+    # 1 - rate*eta rounds to 1 at eta = 1e-300, so log(q) would be 0.
+    env = BoundEnvelope("angle", 1, 1.0, math.pi / 2, 0.5, r=0.5, R=1.5)
+    with pytest.raises(DomainError, match=r"rate\*eta"):
+        stopping_time(env, 1e-300, 1e-2)
 
 
 def test_stopping_time_obeys_the_step_size_rule():

@@ -354,12 +354,15 @@ def test_cli_config_error_exits_two(tmp_path, capsys):
         # A DomainError raised inside the run (the step size is past the
         # band's threshold) is a failed run, not a bad config.
         "experiment = stopping-time\neta = 1.0\n",
+        # So is one so small that 1 - rate*eta rounds to 1: no T is certified.
+        "experiment = stopping-time\neta = 1e-300\n",
         # Float faults no routine types: an overflow in a band's closed form
         # and a division by zero in the convergence horizon.
         "experiment = flow\nm = 3\nd = 5\ntarget_scale = 1e200\n",
         "experiment = flow\nm = 3\nd = 5\ninit_scale = 1e-300\n",
     ],
     ids=["gd-divergence", "deep-general-blowup", "stopping-time-eta-past-threshold",
+         "stopping-time-eta-below-resolution",
          "flow-overflow", "flow-zero-division"],
 )
 def test_cli_numerical_failure_exits_three(tmp_path, capsys, text):
@@ -383,6 +386,9 @@ def test_cli_numerical_failure_exits_three(tmp_path, capsys, text):
         ("experiment = stopping-time\neps = -0.1\n", "eps must be positive"),
         # pi - eps <= 0: the final angle would beat the target vacuously.
         ("experiment = stopping-time\neps = 3.5\n", "eps must be < pi"),
+        # pi - eps == pi: no final angle can beat the target.
+        ("experiment = stopping-time\nm = 1\neta = 1e-3\neps = 1e-300\n",
+         "eps must exceed pi's resolution, got 1e-300"),
         ("experiment = flow\nm = 1\nseed = -1\n", "seed must be >= 0"),
         ("experiment = reanchor\nm = 1\nanchors = 0,100,100\n", "anchors must be distinct"),
         ("experiment = lemma-verify\nm = 7\nanchors = 5\ndt = 0.5\n",
@@ -401,7 +407,8 @@ def test_cli_numerical_failure_exits_three(tmp_path, capsys, text):
     ],
     ids=["flow-t_end-inf", "figure-angle-eta-nan", "flow-d-zero", "figure-angle-init_scale-negative",
          "lemma-verify-n-one", "gd-steps-negative", "reanchor-anchor-negative", "flow-dt-zero",
-         "stopping-time-eps-negative", "stopping-time-eps-past-pi", "flow-seed-negative", "reanchor-anchor-repeated",
+         "stopping-time-eps-negative", "stopping-time-eps-past-pi",
+         "stopping-time-eps-below-pi-resolution", "flow-seed-negative", "reanchor-anchor-repeated",
          "lemma-verify-unread-keys", "flow-unread-key", "flow-dt-above-t_end",
          "flow-dt-above-resolved-t_end", "flow-step-cap", "flow-d-one", "stopping-time-d-one",
          "stopping-time-step-cap"],
@@ -412,6 +419,12 @@ def test_cli_non_finite_value_exits_two(tmp_path, capsys, text, needle):
     p = write_cfg(tmp_path, text)
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     assert needle in capsys.readouterr().err
+
+
+def test_eps_must_resolve_against_pi():
+    with pytest.raises(ConfigError, match="eps must exceed pi's resolution"):
+        RunConfig(experiment="stopping-time", eps=1e-300)
+    assert RunConfig(experiment="stopping-time", eps=1e-14).eps == 1e-14
 
 
 def test_cli_negative_seed_flag_exits_two(tmp_path, capsys):
@@ -486,6 +499,47 @@ def test_cli_config_error_inside_a_runner_exits_two(tmp_path, capsys):
     assert "m <= 1 only" in captured.err
     assert captured.out == f"[PASS] flow seed=0 (3/3 checks) -> {tmp_path / 'o' / 'flow'}\n"
     assert (tmp_path / "o" / "flow" / "report.json").exists()
+
+
+def test_cli_a_plan_that_overflows_leaves_the_runs_before_it(tmp_path, capsys):
+    # Planning the gd config overflows in NeuronConfig's norm**m at m = 400;
+    # the flow run before it still runs and prints, and the gd run raises
+    # the same OverflowError at its turn.
+    g = write_cfg(tmp_path, "experiment = gd\nm = 400\neta = 1e-6\nsteps = 5\n", "g.cfg")
+    out = tmp_path / "o"
+    argv = ["run", "--config", str(CONFIGS / "flow-m2.cfg"), "--config", str(g)]
+    assert main(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "OverflowError" in captured.err
+    assert captured.out == f"[PASS] flow seed=0 (3/3 checks) -> {out / 'flow-m2'}\n"
+    assert (out / "flow-m2" / "report.json").exists()
+
+
+@pytest.mark.parametrize("name,checks,files", [
+    ("error-scaling", ["halving_ratio_eta_0.01", "halving_ratio_eta_0.005",
+                       "halving_ratio_eta_0.0025", "log_log_slope"], ["errors.csv"]),
+    ("stopping-time", ["magnitude_bracket_advisory", "angle_beats_target"],
+     ["bounds.csv", "plot.gp", "trajectory.csv"]),
+], ids=["error-scaling", "stopping-time"])
+def test_cli_runs_a_shipped_config_end_to_end(tmp_path, capsys, name, checks, files):
+    out = tmp_path / name
+    assert main(["run", "--config", str(CONFIGS / f"{name}.cfg"), "--out", str(out)]) == 0
+    n = len(checks)
+    assert capsys.readouterr().out == f"[PASS] {name} seed=0 ({n}/{n} checks) -> {out}\n"
+    report = json.loads((out / "report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == checks
+    assert sorted(p.name for p in out.iterdir()) == sorted(files + ["report.json"])
+
+
+def test_cli_paper_scale_run_writes_its_default_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    p = write_cfg(tmp_path, "experiment = flow\nm = 0\nt_end = 0.5\n")
+    assert main(["run", "--config", str(p), "--paper-scale"]) == 0
+    run = Path("runs") / "flow-m0-t_end0.5-paper-seed0"
+    assert capsys.readouterr().out == f"[PASS] flow seed=0 (3/3 checks) -> {run}\n"
+    assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [run.name]
+    assert sorted(p.name for p in run.iterdir()) == ["bounds.csv", "plot.gp", "report.json",
+                                                     "trajectory.csv"]
 
 
 def test_cli_refuses_two_runs_into_one_directory(tmp_path, capsys, monkeypatch):
