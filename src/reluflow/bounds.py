@@ -51,15 +51,15 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, UnavailableError
 from .flow import Trajectory, epsilon_gap
+from .population import _check_angle, _check_count, _check_nonnegative, _check_positive
 
 _ODE_DT = 1e-4
 _SWEEP_DT = 1e-3
@@ -97,31 +97,20 @@ class BoundEnvelope:
     def __post_init__(self) -> None:
         if self.kind not in ("magnitude", "angle"):
             raise DomainError(f"unknown envelope kind {self.kind!r}")
-        if self.m < 0:
-            raise DomainError(f"m={self.m} must be non-negative")
-        if not self.target_norm > 0:
-            raise DomainError("target_norm must be positive")
-        if not 0.0 < self.phi0 < math.pi:
-            raise DomainError(f"phi0={self.phi0} must lie strictly inside (0, pi)")
-        if not self.v0 >= 0:
-            raise DomainError("v0 must be non-negative")
-        if self.m >= 1 and self.v0 == 0:
-            # v = 0 is a stationary point of the deep system; the closed
-            # forms are stated for positive starts
-            raise DomainError("v0 must be positive when m >= 1")
-        if not self.anchor_time >= 0:
-            raise DomainError("anchor_time must be non-negative")
-        if self.r is not None and self.R is not None and not self.r < self.R:
-            raise DomainError(f"need r < R, got r={self.r}, R={self.R}")
         if self.kind == "angle" and (self.r is None or self.R is None):
             raise DomainError("angle envelopes need both magnitude bounds r and R")
-        if self.r is not None and not self.r > 0:
-            raise DomainError("r must be positive")
-        object.__setattr__(self, "m", operator.index(self.m))
-        for name in ("target_norm", "phi0", "v0", "r", "R", "anchor_time"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, float(value))
+        object.__setattr__(self, "m", _check_count(self.m, "m"))
+        # v = 0 is a stationary point of the deep system, whose closed forms
+        # are stated for positive starts; a one-layer band may start at zero.
+        v0_rule = _check_positive if self.m >= 1 else _check_nonnegative
+        for name, check in (("target_norm", _check_positive), ("phi0", _check_angle),
+                            ("v0", v0_rule), ("anchor_time", _check_nonnegative)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
+        for name in ("r", "R"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _check_positive(getattr(self, name), name))
+        if self.r is not None and self.R is not None and not self.r < self.R:
+            raise DomainError(f"need r < R, got r={self.r}, R={self.R}")
 
     @property
     def eps0(self) -> float:
@@ -224,16 +213,11 @@ _ETA_CEILING = 0.1
 _ETA_CLEAN = 0.01
 
 
-def _check_eta(eta: float) -> None:
-    # Stated positively: NaN fails every comparison.
-    if not 0.0 < eta < math.inf:
-        raise DomainError(f"eta must be positive and finite, got {eta}")
-
-
-def _certify_eta(eta: float, threshold: float) -> None:
+def _certify_eta(eta: float, threshold: float) -> float:
     """Guard of a descent-side certificate: refuse eta at or above the
-    ceiling of the step-size rule, warn above its clean line."""
-    _check_eta(eta)
+    ceiling of the step-size rule, warn above its clean line. Returns eta
+    as a Python float."""
+    eta = _check_positive(eta, "eta")
     if eta >= _ETA_CEILING * threshold:
         raise DomainError(f"eta={eta} too large against the rate threshold {threshold}")
     if eta > _ETA_CLEAN * threshold:
@@ -242,37 +226,32 @@ def _certify_eta(eta: float, threshold: float) -> None:
             "first-order accuracy degrades",
             stacklevel=3,
         )
+    return eta
 
 
 def _frozen_ode_rhs(m: int, a: float, v: float) -> float:
     return -0.5 * v**m * (v ** (m + 1) - a)
 
 
-def _check_frozen(m: int, target_norm: float, eps: float, v0: float,
+def _check_frozen(m: int, low: int, target_norm: float, eps: float, v0: float,
                   tau: float) -> tuple[int, float, float, float, float]:
-    """The frozen-gap paths' checks; returns their arguments as Python
-    scalars."""
+    """The frozen-gap paths' checks, for m >= low; returns their arguments
+    as Python scalars."""
     if not 0.0 <= eps <= 1.0:
         raise DomainError(f"eps={eps} must lie in [0, 1]")
-    if not tau >= 0:
-        raise DomainError("tau must be non-negative")
-    if not v0 > 0:
-        raise DomainError("v0 must be positive")
-    return operator.index(m), float(target_norm), float(eps), float(v0), float(tau)
+    return (_check_count(m, "m", low), _check_positive(target_norm, "target_norm"), float(eps),
+            _check_positive(v0, "v0"), _check_nonnegative(tau, "tau"))
 
 
 def frozen_gap_magnitude_ode(
     m: int, target_norm: float, eps: float, v0: float, tau: float, dt: float = _ODE_DT
 ) -> float:
     """u(tau; eps) by fixed-step RK4 on the frozen-gap equation (reference path)."""
-    if m < 1:
-        raise DomainError("frozen-gap magnitude paths apply to m >= 1")
-    m, target_norm, eps, v0, tau = _check_frozen(m, target_norm, eps, v0, tau)
-    if not dt > 0:
-        raise DomainError(f"dt={dt} must be positive")
+    m, target_norm, eps, v0, tau = _check_frozen(m, 1, target_norm, eps, v0, tau)
+    dt = _check_positive(dt, "dt")
     if tau == 0.0:
         return v0
-    return float(_ode_sweep(m, target_norm, eps, v0, np.array([tau]), float(dt))[0])
+    return float(_ode_sweep(m, target_norm, eps, v0, np.array([tau]), dt)[0])
 
 
 def frozen_gap_magnitude_implicit(
@@ -291,9 +270,7 @@ def frozen_gap_magnitude_implicit(
     Raises ConvergenceError if Newton's method does not settle within
     _NEWTON_MAX iterations.
     """
-    if m < 2:
-        raise DomainError("the implicit path needs m >= 2")
-    m, target_norm, eps, v0, tau = _check_frozen(m, target_norm, eps, v0, tau)
+    m, target_norm, eps, v0, tau = _check_frozen(m, 2, target_norm, eps, v0, tau)
     if tau == 0.0:
         return v0
     a = target_norm ** (m + 1) * (1.0 - eps)
@@ -369,9 +346,7 @@ def magnitude_bounds_multilayer(env: BoundEnvelope, t: float) -> tuple[float, fl
     """
     if env.kind != "magnitude" or env.m < 2:
         raise DomainError("the pointwise implicit band is the m >= 2 magnitude band")
-    tau = t - env.anchor_time
-    if not tau >= 0:
-        raise DomainError(f"t={t} precedes the envelope anchor {env.anchor_time}")
+    tau = t - env.anchor_time  # the frozen-gap path refuses a t before the anchor
     lower = frozen_gap_magnitude_implicit(env.m, env.target_norm, env.eps0, env.v0, tau)
     upper = frozen_gap_magnitude_implicit(env.m, env.target_norm, 0.0, env.v0, tau)
     return lower, upper
@@ -446,7 +421,7 @@ def envelope_curve(
         return lowers, uppers
     band = _band_forms(env)
     if eta is not None:
-        _check_eta(eta)
+        eta = _check_positive(eta, "eta")
         if np.any(taus != np.floor(taus)):
             raise DomainError("descent times must be whole step counts from the anchor")
         threshold = _threshold(band)
@@ -475,8 +450,7 @@ def check_envelope(
     With eta the trajectory's times are descent steps and the band is the
     descent band at that step size (see envelope_curve).
     """
-    if slack < 0:
-        raise DomainError("slack must be non-negative")
+    slack = _check_nonnegative(slack, "slack")
     mask = traj.times >= env.anchor_time
     times = traj.times[mask]
     if len(times) == 0:
@@ -503,16 +477,7 @@ def reanchored(env: BoundEnvelope, traj: Trajectory, index: int) -> BoundEnvelop
     bands over the remaining window.
     """
     state = traj.states[index]
-    return BoundEnvelope(
-        kind=env.kind,
-        m=env.m,
-        target_norm=env.target_norm,
-        phi0=state.angle,
-        v0=state.magnitude,
-        r=env.r,
-        R=env.R,
-        anchor_time=float(traj.times[index]),
-    )
+    return replace(env, phi0=state.angle, v0=state.magnitude, anchor_time=traj.times[index])
 
 
 def convergence_horizon(
@@ -530,11 +495,11 @@ def convergence_horizon(
     slowest local rate, with a 30% safety factor. Deliberately conservative,
     never tuned per run.
     """
-    m, target_norm, v0, phi0 = operator.index(m), float(target_norm), float(v0), float(phi0)
-    eps0 = epsilon_gap(phi0)
-    attractor = target_norm * (1.0 - eps0) ** (1.0 / (m + 1))
+    env = BoundEnvelope("magnitude", m, target_norm, phi0, v0)  # checks the arguments
+    m, target_norm, v0, phi0 = env.m, env.target_norm, env.v0, env.phi0
+    attractor = target_norm * (1.0 - env.eps0) ** (1.0 / (m + 1))
     r = min(v0, attractor)
-    env = BoundEnvelope("angle", m, target_norm, phi0, v0, r=r, R=max(v0, target_norm))
+    env = replace(env, kind="angle", r=r, R=max(v0, target_norm))
     angle_rate = _band_forms(env).lower[0].c
     cot = 1.0 / math.tan(phi0 / 2.0)
     ratio = 2.0 * cot / (0.5 * _HORIZON_ANGLE_TOL)

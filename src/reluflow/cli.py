@@ -20,7 +20,9 @@ before the runs start; each distinct descent is computed once. Runs whose
 descents have the same inputs (``angle-m0-small`` and
 ``magnitude-m0-small``, say) share one trajectory, and the line of every
 such run after the first ends with ``(descent shared)``. Every artifact is
-byte-identical to the run's own. Each run's line prints as that run ends.
+byte-identical to the run's own. Each run's line prints as that run ends,
+and no failure while planning or batching descents stops an earlier run: a
+plan or a batch that raises is tried again at its own run's turn.
 
 Exit status is 0 exactly when every check in every run passed, 1 when some
 check failed, 2 on a configuration or usage error (two configs writing to
@@ -28,7 +30,8 @@ one output directory, an empty ``--out``, or an output that cannot be
 written, included), and 3
 when a run failed: a trajectory diverged, an iteration did not converge, no
 evaluation path exists, a routine was handed an argument outside its
-domain, or a float operation overflowed or divided by zero.
+domain, a float operation overflowed or divided by zero, or the run ran out
+of memory.
 """
 from __future__ import annotations
 
@@ -137,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, DimensionError, ConvergenceError, DivergenceError,
-            UnavailableError, ArithmeticError) as exc:
+            UnavailableError, ArithmeticError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

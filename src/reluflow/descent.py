@@ -72,16 +72,16 @@ agree exactly.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import BoundEnvelope, _band_forms, _certify_eta, _check_eta, _threshold
+from .bounds import BoundEnvelope, _band_forms, _certify_eta, _threshold
 from .errors import DimensionError, DivergenceError, DomainError
-from .flow import Trajectory, _is_count, _march
-from .population import NeuronConfig, WeightState, _check_state, _gradient, population_gradient
+from .flow import Trajectory, _march
+from .population import (NeuronConfig, WeightState, _check_count, _check_hidden, _check_positive,
+                          _check_state, _gradient, population_gradient)
 
 
 @dataclass(frozen=True)
@@ -101,18 +101,14 @@ class DescentConfig:
     record_every: int = 1
 
     def __post_init__(self) -> None:
-        _check_eta(self.eta)
-        if not (_is_count(self.steps) and self.steps >= 0):
-            raise DomainError(f"steps must be a non-negative integer, got {self.steps!r}")
         if self.mode not in ("population", "empirical"):
             raise DomainError(f"unknown mode {self.mode!r}")
-        if self.mode == "empirical" and not (_is_count(self.n_samples) and self.n_samples >= 1):
-            raise DomainError("empirical mode needs an integer n_samples >= 1")
-        if not (_is_count(self.record_every) and self.record_every >= 1):
-            raise DomainError("record_every must be an integer >= 1")
-        object.__setattr__(self, "eta", float(self.eta))
-        for name in ("steps", "n_samples", "seed", "record_every"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        object.__setattr__(self, "eta", _check_positive(self.eta, "eta"))
+        # Empirical mode draws n_samples inputs; population mode reads none.
+        floors = {"steps": 0, "n_samples": 1 if self.mode == "empirical" else 0, "seed": 0,
+                  "record_every": 1}
+        for name, low in floors.items():
+            object.__setattr__(self, name, _check_count(getattr(self, name), name, low))
 
 
 def gd_step(
@@ -127,7 +123,7 @@ def gd_step(
     Raises DivergenceError if a hidden scalar is driven to or below zero
     (outside the sign-preserving regime every guarantee lives in).
     """
-    _check_eta(eta)
+    eta = _check_positive(eta, "eta")
     if batch is None:
         grad_w, grad_hidden = population_gradient(config, state)
     else:
@@ -135,8 +131,7 @@ def gd_step(
         if batch.ndim != 2 or batch.shape[1] != config.d:
             raise DomainError(f"batch must have shape (n, {config.d})")
         _check_state(config, state)
-        if not all(v > 0.0 for v in state.hidden):
-            raise DomainError("hidden scalars must be positive")
+        _check_hidden(state.hidden)
         grad_w, grad_hidden = _sample_gradient(
             state.w, state.hidden, batch, _teacher_labels(config, batch)
         )
@@ -368,17 +363,12 @@ def gd_error_scaling(
     the field describe the same flow. Each eta obeys the step-size rule at
     the threshold 1 / c.
     """
-    if not 0.0 < c < math.inf:
-        raise DomainError(f"decay rate c must be positive and finite, got {c}")
-    if not 0.0 < horizon < math.inf:
-        raise DomainError(f"horizon must be positive and finite, got {horizon}")
+    c, horizon = _check_positive(c, "decay rate c"), _check_positive(horizon, "horizon")
     if not etas:
         raise DomainError("need at least one step size")
-    c, horizon = float(c), float(horizon)
     out = []
     for eta in etas:
-        _certify_eta(eta, 1.0 / c)
-        eta = float(eta)
+        eta = _certify_eta(eta, 1.0 / c)
         steps = max(1, round(horizon / eta))
         base = 1.0 - c * eta
         w = g(1.0)
@@ -413,10 +403,9 @@ def stopping_time(env: BoundEnvelope, eta: float, eps: float) -> int:
     """
     if env.kind != "angle":
         raise DomainError("stopping times come from angle envelopes")
-    if not eps > 0.0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    eps = _check_positive(eps, "eps")
     band = _band_forms(env)
-    _certify_eta(eta, _threshold(band))
+    eta = _certify_eta(eta, _threshold(band))
     rate = band.lower[0].c
     x = 0.5 * eps * math.tan(env.phi0 / 2.0)
     if x >= 1.0:

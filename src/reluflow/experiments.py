@@ -78,7 +78,7 @@ from .descent import (
     run_gd_batch,
     stopping_time,
 )
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, DomainError
 from .flow import _BLOWUP, FlowSpec, Trajectory, integrate_polar
 from .montecarlo import (
     angle_concentration,
@@ -90,6 +90,8 @@ from .population import (
     NeuronConfig,
     PolarState,
     WeightState,
+    _check_count,
+    _check_positive,
     double_wedge_second_moment,
     half_space_second_moment,
     polar_of,
@@ -143,7 +145,7 @@ _MAX_POPULATION_STEPS = 10**6
 
 _INT_KEYS = {"m", "d", "n", "steps", "seed"}
 # Smallest value of each count a run can use; every float key must be > 0.
-_INT_MIN = {"m": 0, "d": 1, "n": 2, "steps": 0, "seed": 0}
+_INT_MIN = {"m": 0, "d": 1, "n": 2, "steps": 1, "seed": 0}
 _FLOAT_KEYS = {"eta", "dt", "t_end", "target_scale", "eps"}
 _STR_KEYS = {"experiment", "output_dir"}
 # Keys every experiment accepts; any other key set must be one its runner reads.
@@ -188,16 +190,17 @@ class RunConfig:
             raise ConfigError(
                 f"init_scale must be one of {sorted(_SCALE_RATIO)} or an explicit variance"
             )
-        for key in (*sorted(_FLOAT_KEYS), "init_scale"):
-            value = getattr(self, key)
-            if isinstance(value, (int, float)) and not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value}")
-            if isinstance(value, (int, float)) and value <= 0:
-                raise ConfigError(f"{key} must be positive, got {value}")
-        for key, low in _INT_MIN.items():
-            value = getattr(self, key)
-            if value is not None and value < low:
-                raise ConfigError(f"{key} must be >= {low}, got {value}")
+        if self.output_dir == "":  # Path('') would be the working directory
+            raise ConfigError("output_dir needs a value")
+        try:  # the package's own input rules, reported as config errors
+            for key in (*sorted(_FLOAT_KEYS), "init_scale"):
+                if isinstance(getattr(self, key), (int, float)):
+                    _check_positive(getattr(self, key), key)
+            for key, low in _INT_MIN.items():
+                if getattr(self, key) is not None:
+                    _check_count(getattr(self, key), key, low)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.anchors is not None and min(self.anchors, default=0) < 0:
             raise ConfigError(f"anchors must be non-negative steps, got {self.anchors}")
         if self.anchors is not None and len(set(self.anchors)) < len(self.anchors):
@@ -495,14 +498,21 @@ class DescentMemo:
     def prefill(self, problems: Sequence[tuple[NeuronConfig, WeightState, DescentConfig]]) -> None:
         """Run the distinct empirical descents among `problems` (`run_gd`
         inputs) that are not stored yet, one `run_gd_batch` per dimension d,
-        and store each row that finished."""
+        and store each row that finished. A batch that raises (its data draw
+        may not fit in memory) stores nothing: each of its rows descends
+        alone when its run reads it, and raises there, after the runs
+        before it have ended."""
         todo: dict[int, dict[tuple, tuple]] = {}
         for config, init, dc in problems:
             key = _descent_key(config, init, dc)
             if dc.mode == "empirical" and key not in self._trajectories:
                 todo.setdefault(config.d, {}).setdefault(key, (config, init, dc))
         for rows in todo.values():
-            for key, out in zip(rows, run_gd_batch(list(rows.values()))):
+            try:
+                outs = run_gd_batch(list(rows.values()))
+            except Exception:  # each row's run repeats it alone and raises at its turn
+                continue
+            for key, out in zip(rows, outs):
                 if isinstance(out, Trajectory):
                     self._store(key, out)
 
@@ -554,7 +564,7 @@ def _check_bands(
 
 
 def _run_flow(cfg: RunConfig) -> _Outcome:
-    m = int(cfg.m)
+    m = cfg.m
     config, _, polar0, label = _draw_problem(cfg, m, _FIG_KSTAR.get(m, 1.0), "small")
     tnorm = config.target_norm
 
@@ -589,7 +599,7 @@ class _Descent(NamedTuple):
 
 
 def _figure_descent(cfg: RunConfig) -> _Descent:
-    m = int(cfg.m)
+    m = cfg.m
     # gd checks every band its depth has; a figure run, the one it names.
     kinds = {"figure-angle": ["angle"], "figure-magnitude": ["magnitude"]}.get(
         cfg.experiment, ["magnitude", "angle"] if m <= 1 else ["angle"])
@@ -614,7 +624,7 @@ def _run_descent_figure(plan: _Descent, traj: Trajectory) -> _Outcome:
 
 
 def _reanchor_descent(cfg: RunConfig) -> _Descent:
-    m = int(cfg.m)
+    m = cfg.m
     if m not in _REANCHOR:
         raise ConfigError("re-anchored magnitude bands exist for m in {0, 1} only")
     defaults = _REANCHOR[m]
@@ -732,7 +742,7 @@ def _run_error_scaling(cfg: RunConfig) -> _Outcome:
 def _stopping_descent(cfg: RunConfig) -> _Descent:
     """The run's descent; its extra is the angle band, eps and the bracket
     recipe's checks."""
-    m = int(cfg.m) if cfg.m is not None else 1
+    m = cfg.m if cfg.m is not None else 1
     config, init, polar0, label = _draw_problem(cfg, m, _FIG_KSTAR.get(m, 1.0), "middle")
     r, R, checks = _rr_recipe(label, polar0.magnitude, config.target_norm)
     env = BoundEnvelope("angle", m, config.target_norm, polar0.angle, polar0.magnitude,

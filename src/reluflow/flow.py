@@ -32,11 +32,11 @@ are each one IEEE-754 double operation, with no fused multiply-add, so the
 same operands combined in the same order give the ndarray form's bits.
 Scalars follow the same rule, since arithmetic on a NumPy scalar costs
 about twice that on a Python float: a `FlowSpec` stores m as a Python int
-(through operator.index) and target_norm, t_end and dt as Python floats,
-its `PolarState` stores its magnitude and angle as Python floats, and each
-public function here converts its scalar arguments once, on entry. A NumPy
-scalar handed in never reaches an RK4 loop, and float(np.float64(x)) is x,
-so no bit moves.
+and target_norm, t_end and dt as Python floats, its `PolarState` stores its
+magnitude and angle as Python floats, and each public function here checks
+its scalar arguments once, on entry, through the population module's input
+rules, and keeps the Python scalars they return. A NumPy scalar handed in
+never reaches an RK4 loop, and float(np.float64(x)) is x, so no bit moves.
 
 Integration is classic fixed-step fourth-order Runge-Kutta: the step-halving
 order checks in the test suite and the tight envelope tolerances rely on a
@@ -64,7 +64,6 @@ its configs.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -76,6 +75,9 @@ from .population import (
     NeuronConfig,
     PolarState,
     WeightState,
+    _check_angle,
+    _check_count,
+    _check_positive,
     _gradient,
     polar_of,
     population_gradient,
@@ -100,16 +102,6 @@ def _sin_cos_from_gap(delta: float) -> tuple[float, float]:
     return sin_phi, -cos_d
 
 
-def _is_count(value: object) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_sample_every(sample_every: int) -> int:
-    if not (_is_count(sample_every) and sample_every >= 1):
-        raise DomainError(f"sample_every must be an integer >= 1, got {sample_every!r}")
-    return operator.index(sample_every)
-
-
 def _check_horizon(dt: float, t_end: float) -> tuple[float, float]:
     # Stated positively: NaN fails every comparison, and an infinite
     # t_end / dt has no step count.
@@ -125,9 +117,7 @@ def epsilon_gap(phi: float) -> float:
     Decreases from 1 at phi = 0 to 0 at phi = pi; near pi it behaves as
     (pi - phi)^2 / 2 and is computed by that series to avoid cancellation.
     """
-    if not 0.0 <= phi <= math.pi:
-        raise DomainError(f"phi={phi} must lie in [0, pi]")
-    phi = float(phi)
+    phi = _check_angle(phi, "phi", closed=True)
     delta = math.pi - phi
     if delta < _SERIES_GAP:
         return delta * delta * (
@@ -152,16 +142,9 @@ def _polar_rates(m: int, a: float, v: float, phi: float) -> tuple[float, float]:
 
 def polar_rhs(m: int, target_norm: float, state: PolarState) -> tuple[float, float]:
     """Time derivatives (dv/dt, dphi/dt) of the reduced balanced flow."""
-    if m < 0:
-        raise DomainError(f"m={m} must be non-negative")
-    if target_norm <= 0:
-        raise DomainError(f"target_norm={target_norm} must be positive")
-    if state.magnitude <= 0:
-        raise DomainError("polar dynamics need magnitude > 0")
-    if not 0.0 < state.angle < math.pi:
-        raise DomainError(f"angle {state.angle} must lie strictly inside (0, pi)")
-    m = operator.index(m)
-    return _polar_rates(m, float(target_norm) ** (m + 1), state.magnitude, state.angle)
+    m, target_norm = _check_count(m, "m"), _check_positive(target_norm, "target_norm")
+    v, phi = _check_positive(state.magnitude, "magnitude"), _check_angle(state.angle, "angle")
+    return _polar_rates(m, target_norm ** (m + 1), v, phi)
 
 
 def vector_rhs(config: NeuronConfig, state: WeightState) -> tuple[np.ndarray, np.ndarray]:
@@ -182,17 +165,11 @@ class FlowSpec:
     dt: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.m < 0:
-            raise DomainError(f"m={self.m} must be non-negative")
-        if self.target_norm <= 0:
-            raise DomainError("target_norm must be positive")
-        if self.initial.magnitude <= 0:
-            raise DomainError("initial magnitude must be positive")
-        if not 0.0 < self.initial.angle < math.pi:
-            raise DomainError("initial angle must lie strictly inside (0, pi)")
+        object.__setattr__(self, "m", _check_count(self.m, "m"))
+        object.__setattr__(self, "target_norm", _check_positive(self.target_norm, "target_norm"))
+        _check_positive(self.initial.magnitude, "initial magnitude")
+        _check_angle(self.initial.angle, "initial angle")
         dt, t_end = _check_horizon(self.dt, self.t_end)
-        object.__setattr__(self, "m", operator.index(self.m))
-        object.__setattr__(self, "target_norm", float(self.target_norm))
         object.__setattr__(self, "t_end", t_end)
         object.__setattr__(self, "dt", dt)
 
@@ -248,7 +225,7 @@ class Trajectory:
 
 def balanced_population_loss(m: int, target_norm: float, state: PolarState) -> float:
     """Population loss of the balanced realization of a reduced state."""
-    m, target_norm = operator.index(m), float(target_norm)
+    m, target_norm = _check_count(m, "m"), _check_positive(target_norm, "target_norm")
     v, phi = state.magnitude, state.angle
     theta = math.pi - phi
     h = relu_product_moment(theta)
@@ -285,7 +262,7 @@ def integrate_polar(spec: FlowSpec, sample_every: int = 1) -> Trajectory:
     step. Once the angle comes within 1e-12 of pi it is frozen (converged)
     while the magnitude keeps evolving.
     """
-    sample_every = _check_sample_every(sample_every)
+    sample_every = _check_count(sample_every, "sample_every", 1)
     m, tn = spec.m, spec.target_norm
     a = tn ** (m + 1)
     n_steps = max(1, round(spec.t_end / spec.dt))
@@ -399,7 +376,7 @@ def integrate_vector(
     each sample.
     Works for arbitrary (not necessarily balanced) positive hidden scalars.
     """
-    sample_every = _check_sample_every(sample_every)
+    sample_every = _check_count(sample_every, "sample_every", 1)
     dt, t_end = _check_horizon(dt, t_end)
     n_steps = max(1, round(t_end / dt))
     h = t_end / n_steps

@@ -29,8 +29,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
-from .population import NeuronConfig, WeightState, _check_unit
+from .errors import DomainError
+from .population import (NeuronConfig, WeightState, _check_count, _check_hidden, _check_positive,
+                          _check_state, _check_unit, _check_unit_pair)
 
 # Samples per chunk, the unit of every estimator's sample stream.
 _CHUNK = 1 << 16
@@ -52,8 +53,7 @@ class McEstimate:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DomainError("standard errors need n >= 2")
+        _check_count(self.n, "n", 2)  # a standard error needs two samples
         if np.any(np.asarray(self.stderr) < 0):
             raise DomainError("stderr entries must be non-negative")
 
@@ -91,8 +91,7 @@ def _accumulate(
     each chunk first draws its (count, d) lead rows whole, then x block by
     block, and block_sums(x, u) gets the lead rows u that match x.
     """
-    if n < 2:
-        raise DomainError("n must be >= 2")
+    n, seed = _check_count(n, "n", 2), _check_count(seed, "seed")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     rows = min(_block_rows(d), n)
     x = np.empty((rows, d))
@@ -153,20 +152,14 @@ def mc_double_wedge_moment(
     u: np.ndarray, v: np.ndarray, n: int, seed: int, dist: str = "gaussian"
 ) -> McEstimate:
     """Estimate E[ 1{u.x > 0} 1{v.x > 0} x x^T ] with standard errors."""
-    u = _check_unit(u, "u")
-    v = _check_unit(v, "v")
-    if u.shape != v.shape:
-        raise DimensionError("u and v must share a dimension")
+    u, v = _check_unit_pair(u, v)
     return _masked_second_moment(
         lambda x: (x @ u > 0.0) & (x @ v > 0.0), u.shape[0], n, seed, dist)
 
 
 def mc_relu_product(u: np.ndarray, v: np.ndarray, n: int, seed: int) -> McEstimate:
     """Estimate E[ relu(u.x) relu(v.x) ] for x ~ N(0, I), unit u and v."""
-    u = _check_unit(u, "u")
-    v = _check_unit(v, "v")
-    if u.shape != v.shape:
-        raise DimensionError("u and v must share a dimension")
+    u, v = _check_unit_pair(u, v)
 
     def block(x: np.ndarray) -> tuple:
         return _scalar_sums(np.maximum(x @ u, 0.0) * np.maximum(x @ v, 0.0))
@@ -196,8 +189,8 @@ def mc_population_gradient(
     residual; the derivative of relu at 0 is taken as 0 (strict indicator).
     Returns (weight-gradient estimate, hidden-gradient estimate).
     """
-    if any(v <= 0.0 for v in state.hidden):
-        raise DomainError("hidden scalars must be positive")
+    _check_state(config, state)
+    _check_hidden(state.hidden)
     p = state.product
     p_star = config.target_product
     hidden = np.array(state.hidden, dtype=float)
@@ -225,10 +218,8 @@ def angle_concentration(d: int, eps: float, trials: int, seed: int) -> tuple[flo
     below eps; returns (empirical fraction, 1 - 2 exp(-d eps^2 / 2)). Judging
     the fraction against the bound is left to the caller.
     """
-    if d < 1 or trials < 1_000:
-        raise DomainError("need d >= 1 and trials >= 1000")
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    d, trials = _check_count(d, "d", 1), _check_count(trials, "trials", 1_000)
+    eps = _check_positive(eps, "eps")
 
     def block(v: np.ndarray, u: np.ndarray) -> tuple:
         # Row norms by einsum: np.linalg.norm would square u and v into two

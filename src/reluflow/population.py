@@ -73,12 +73,8 @@ class NeuronConfig:
     target_floats: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise DomainError(f"d={self.d} must be a positive integer")
-        if self.m < 0:
-            raise DomainError(f"m={self.m} must be a non-negative integer")
-        object.__setattr__(self, "d", operator.index(self.d))
-        object.__setattr__(self, "m", operator.index(self.m))
+        object.__setattr__(self, "d", _check_count(self.d, "d", 1))
+        object.__setattr__(self, "m", _check_count(self.m, "m"))
         # A copy the caller cannot write to: the norm, product and floats
         # below are cached from it.
         w = np.array(self.target_w, dtype=float)
@@ -88,6 +84,7 @@ class NeuronConfig:
         norm = float(np.linalg.norm(w))
         if norm < _NORM_FLOOR:
             raise ZeroVectorError("target_w must be nonzero")
+        norm = _check_positive(norm, "the norm of target_w")
         object.__setattr__(self, "target_w", w)
         object.__setattr__(self, "target_norm", norm)
         object.__setattr__(self, "target_product", norm**self.m)
@@ -126,21 +123,68 @@ class PolarState:
     angle: float
 
     def __post_init__(self) -> None:
-        if not (self.magnitude >= 0.0 and math.isfinite(self.magnitude)):
-            raise DomainError(f"magnitude {self.magnitude} must be finite and >= 0")
-        if not (0.0 <= self.angle <= math.pi):
-            raise DomainError(f"angle {self.angle} must lie in [0, pi]")
-        object.__setattr__(self, "magnitude", float(self.magnitude))
-        object.__setattr__(self, "angle", float(self.angle))
+        object.__setattr__(self, "magnitude", _check_nonnegative(self.magnitude, "magnitude"))
+        object.__setattr__(self, "angle", _check_angle(self.angle, "angle", closed=True))
+
+
+# The input rules of the package, each stated once. Every check is written
+# positively, so NaN fails it, and returns the Python scalar it checked,
+# which the caller stores and computes on.
+
+def _check_count(value: object, name: str, low: int = 0) -> int:
+    """An integer (a bool is not one) >= low, as a Python int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if not value >= low:
+        raise DomainError(f"{name} must be >= {low}, got {value!r}")
+    return operator.index(value)
+
+
+def _check_positive(value: float, name: str) -> float:
+    """A positive finite number, as a Python float."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be {'positive' if value <= 0 else 'finite'}, "
+                          f"got {value!r}")
+    return float(value)
+
+
+def _check_nonnegative(value: float, name: str) -> float:
+    """A finite number >= 0, as a Python float."""
+    if not 0.0 <= value < math.inf:
+        raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+    return float(value)
+
+
+def _check_angle(value: float, name: str, closed: bool = False) -> float:
+    """An angle strictly inside (0, pi), or in [0, pi] if closed, as a
+    Python float."""
+    if not (0.0 <= value <= math.pi if closed else 0.0 < value < math.pi):
+        raise DomainError(f"{name}={value!r} must lie in "
+                          f"{'[0, pi]' if closed else 'the open interval (0, pi)'}")
+    return float(value)
+
+
+def _check_hidden(hidden: Sequence[float]) -> None:
+    """Hidden scalars that are all positive and finite."""
+    for v in hidden:
+        _check_positive(v, "a hidden scalar")
 
 
 def _check_unit(u: np.ndarray, name: str) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.ndim != 1:
         raise DimensionError(f"{name} must be a vector, got shape {u.shape}")
-    if abs(float(np.linalg.norm(u)) - 1.0) > _UNIT_TOL:
+    if not abs(float(np.linalg.norm(u)) - 1.0) <= _UNIT_TOL:
         raise DomainError(f"{name} must be a unit vector (|norm-1| <= {_UNIT_TOL})")
     return u
+
+
+def _check_unit_pair(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two unit vectors of one dimension."""
+    u, v = _check_unit(u, "u"), _check_unit(v, "v")
+    if u.shape != v.shape:
+        raise DimensionError(f"u and v must share a dimension, got {u.shape} and {v.shape}")
+    return u, v
 
 
 def half_space_second_moment(u: np.ndarray) -> np.ndarray:
@@ -163,10 +207,7 @@ def double_wedge_second_moment(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     Raises DegenerateAngleError when sin(theta) < 1e-10 (parallel or
     antiparallel arguments); the parallel limit is half_space_second_moment.
     """
-    u = _check_unit(u, "u")
-    v = _check_unit(v, "v")
-    if u.shape != v.shape:
-        raise DimensionError(f"shape mismatch: {u.shape} vs {v.shape}")
+    u, v = _check_unit_pair(u, v)
     cos_t = float(np.clip(u @ v, -1.0, 1.0))
     theta = math.acos(cos_t)
     sin_t = math.sin(theta)
@@ -188,9 +229,7 @@ def relu_product_moment(theta: float) -> float:
     Closed form: (1/2)(1 - theta/pi) cos(theta) + sin(theta) / (2 pi).
     At theta = 0 this is E relu(u.x)^2 = 1/2; at theta = pi it vanishes.
     """
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError(f"theta={theta} must lie in [0, pi]")
-    theta = float(theta)
+    theta = _check_angle(theta, "theta", closed=True)
     return 0.5 * (1.0 - theta / math.pi) * math.cos(theta) + math.sin(theta) / (
         2.0 * math.pi
     )
@@ -256,8 +295,7 @@ def population_gradient(
     which holds along both flow and small-step descent).
     """
     _check_state(config, state)
-    if not all(v > 0.0 for v in state.hidden):
-        raise DomainError(f"hidden scalars must be positive, got {state.hidden}")
+    _check_hidden(state.hidden)
     grad_w, grad_hidden = _gradient(config, state.w, state.hidden)
     return np.array(grad_w), np.array(grad_hidden)
 

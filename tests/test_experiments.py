@@ -380,7 +380,9 @@ def test_cli_numerical_failure_exits_three(tmp_path, capsys, text):
         ("experiment = flow\nm = 1\nd = 0\n", "d must be >= 1"),
         ("experiment = figure-angle\nm = 0\ninit_scale = -1\n", "init_scale must be positive"),
         ("experiment = lemma-verify\nn = 1\n", "n must be >= 2"),
-        ("experiment = gd\nm = 1\nsteps = -5\n", "steps must be >= 0"),
+        ("experiment = gd\nm = 1\nsteps = -5\n", "steps must be >= 1"),
+        # At T = 0 every band equals the start: the checks would test nothing.
+        ("experiment = gd\nm = 0\nsteps = 0\n", "steps must be >= 1"),
         ("experiment = reanchor\nm = 1\nanchors = 0,-10\n", "anchors must be non-negative"),
         ("experiment = flow\nm = 1\ndt = 0\n", "dt must be positive"),
         ("experiment = stopping-time\neps = -0.1\n", "eps must be positive"),
@@ -406,7 +408,8 @@ def test_cli_numerical_failure_exits_three(tmp_path, capsys, text):
         ("experiment = stopping-time\neta = 1e-9\n", "T = 567717453 population steps"),
     ],
     ids=["flow-t_end-inf", "figure-angle-eta-nan", "flow-d-zero", "figure-angle-init_scale-negative",
-         "lemma-verify-n-one", "gd-steps-negative", "reanchor-anchor-negative", "flow-dt-zero",
+         "lemma-verify-n-one", "gd-steps-negative", "gd-steps-zero", "reanchor-anchor-negative",
+         "flow-dt-zero",
          "stopping-time-eps-negative", "stopping-time-eps-past-pi",
          "stopping-time-eps-below-pi-resolution", "flow-seed-negative", "reanchor-anchor-repeated",
          "lemma-verify-unread-keys", "flow-unread-key", "flow-dt-above-t_end",
@@ -425,6 +428,19 @@ def test_eps_must_resolve_against_pi():
     with pytest.raises(ConfigError, match="eps must exceed pi's resolution"):
         RunConfig(experiment="stopping-time", eps=1e-300)
     assert RunConfig(experiment="stopping-time", eps=1e-14).eps == 1e-14
+
+
+def test_run_config_built_in_code_keeps_the_file_rules(tmp_path, monkeypatch):
+    # An empty output_dir would be the working directory, and a fractional
+    # depth would run int(m) under a directory named for m.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError, match="output_dir needs a value"):
+        RunConfig(experiment="flow", m=0, d=5, t_end=0.5, output_dir="")
+    for key in ("m", "d", "n", "steps", "seed"):
+        for bad in (2.5, True):
+            with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+                RunConfig(**{"experiment": "gd", "m": 1, key: bad})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_negative_seed_flag_exits_two(tmp_path, capsys):
@@ -513,6 +529,40 @@ def test_cli_a_plan_that_overflows_leaves_the_runs_before_it(tmp_path, capsys):
     assert "OverflowError" in captured.err
     assert captured.out == f"[PASS] flow seed=0 (3/3 checks) -> {out / 'flow-m2'}\n"
     assert (out / "flow-m2" / "report.json").exists()
+
+
+def test_cli_a_batch_that_raises_leaves_the_runs_before_it(tmp_path, capsys, monkeypatch):
+    # The gd config's data draw does not fit in memory (simulated here, so
+    # nothing is allocated): the prefill's batch raises and stores nothing,
+    # the flow run before it still runs and prints, and the gd run descends
+    # alone at its turn and fails there.
+    lone = []
+
+    def out_of_memory(*args):
+        lone.append(args)
+        raise MemoryError("cannot allocate the data draw")
+
+    monkeypatch.setattr(experiments, "run_gd_batch", out_of_memory)
+    monkeypatch.setattr(experiments, "run_gd", out_of_memory)
+    g = write_cfg(tmp_path, "experiment = gd\nm = 0\nsteps = 5\n", "g.cfg")
+    out = tmp_path / "o"
+    argv = ["run", "--config", str(CONFIGS / "flow-m2.cfg"), "--config", str(g)]
+    assert main(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "MemoryError" in captured.err
+    assert captured.out == f"[PASS] flow seed=0 (3/3 checks) -> {out / 'flow-m2'}\n"
+    assert (out / "flow-m2" / "report.json").exists()
+    assert len(lone) == 2  # the batch, then the gd run's own descent
+
+
+def test_cli_out_of_memory_exits_three(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("cannot allocate the trajectory")
+
+    monkeypatch.setattr(experiments, "integrate_polar", out_of_memory)
+    p = write_cfg(tmp_path, "experiment = flow\nm = 1\nd = 5\nt_end = 1.0\n")
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+    assert "error: MemoryError: cannot allocate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name,checks,files", [
